@@ -8,24 +8,86 @@
 namespace pulse::isa {
 namespace {
 
-std::uint64_t
+/*
+ * Scalar operand access, the interpreter's hottest path. verify()
+ * admits only the widths 1/2/4/8 for scalar operands, so each access
+ * dispatches on the width to a constant-size memcpy, which compiles to
+ * one mov; a runtime-length memcpy compiles to rep movs plus a byte
+ * tail and costs several times more. These helpers are forced inline
+ * into run_iteration's dispatch loop. Every access still bounds-checks,
+ * and any other width panics: Workspace::read/write are public, so an
+ * unverified operand can reach them.
+ */
+[[gnu::always_inline]] inline std::uint64_t
 read_bytes(const std::vector<std::uint8_t>& storage, std::uint64_t offset,
-           std::uint8_t width)
+           std::uint16_t width)
 {
     PULSE_ASSERT(offset + width <= storage.size(),
                  "operand read out of range (verifier bug)");
+    const std::uint8_t* src = storage.data() + offset;
     std::uint64_t value = 0;
-    std::memcpy(&value, storage.data() + offset, width);
+    switch (width) {
+      case 1: std::memcpy(&value, src, 1); break;
+      case 2: std::memcpy(&value, src, 2); break;
+      case 4: std::memcpy(&value, src, 4); break;
+      case 8: std::memcpy(&value, src, 8); break;
+      default: panic("scalar access of width %u", unsigned{width});
+    }
     return value;
 }
 
-void
+[[gnu::always_inline]] inline void
 write_bytes(std::vector<std::uint8_t>& storage, std::uint64_t offset,
-            std::uint8_t width, std::uint64_t value)
+            std::uint16_t width, std::uint64_t value)
 {
     PULSE_ASSERT(offset + width <= storage.size(),
                  "operand write out of range (verifier bug)");
-    std::memcpy(storage.data() + offset, &value, width);
+    std::uint8_t* dst = storage.data() + offset;
+    switch (width) {
+      case 1: std::memcpy(dst, &value, 1); break;
+      case 2: std::memcpy(dst, &value, 2); break;
+      case 4: std::memcpy(dst, &value, 4); break;
+      case 8: std::memcpy(dst, &value, 8); break;
+      default: panic("scalar access of width %u", unsigned{width});
+    }
+}
+
+[[gnu::always_inline]] inline std::uint64_t
+read_operand(const Workspace& workspace, const Operand& operand)
+{
+    switch (operand.kind) {
+      case OperandKind::kImm:
+        return operand.value;
+      case OperandKind::kCurPtr:
+        return workspace.cur_ptr;
+      case OperandKind::kScratch:
+        return read_bytes(workspace.scratch, operand.value, operand.width);
+      case OperandKind::kData:
+        return read_bytes(workspace.data, operand.value, operand.width);
+      case OperandKind::kNone:
+        break;
+    }
+    panic("read of kNone operand");
+}
+
+[[gnu::always_inline]] inline void
+write_operand(Workspace& workspace, const Operand& operand,
+              std::uint64_t value)
+{
+    switch (operand.kind) {
+      case OperandKind::kCurPtr:
+        workspace.cur_ptr = value;
+        return;
+      case OperandKind::kScratch:
+        write_bytes(workspace.scratch, operand.value, operand.width,
+                    value);
+        return;
+      case OperandKind::kData:
+        write_bytes(workspace.data, operand.value, operand.width, value);
+        return;
+      default:
+        panic("write to non-writable operand");
+    }
 }
 
 bool
@@ -94,37 +156,13 @@ Workspace::configure(const Program& program)
 std::uint64_t
 Workspace::read(const Operand& operand) const
 {
-    switch (operand.kind) {
-      case OperandKind::kImm:
-        return operand.value;
-      case OperandKind::kCurPtr:
-        return cur_ptr;
-      case OperandKind::kScratch:
-        return read_bytes(scratch, operand.value, operand.width);
-      case OperandKind::kData:
-        return read_bytes(data, operand.value, operand.width);
-      case OperandKind::kNone:
-        break;
-    }
-    panic("read of kNone operand");
+    return read_operand(*this, operand);
 }
 
 void
 Workspace::write(const Operand& operand, std::uint64_t value)
 {
-    switch (operand.kind) {
-      case OperandKind::kCurPtr:
-        cur_ptr = value;
-        return;
-      case OperandKind::kScratch:
-        write_bytes(scratch, operand.value, operand.width, value);
-        return;
-      case OperandKind::kData:
-        write_bytes(data, operand.value, operand.width, value);
-        return;
-      default:
-        panic("write to non-writable operand");
-    }
+    write_operand(*this, operand, value);
 }
 
 IterationResult
@@ -161,42 +199,49 @@ run_iteration(const Program& program, Workspace& workspace,
             break;
           }
           case Opcode::kAdd:
-            workspace.write(
-                insn.dst,
-                workspace.read(insn.src1) + workspace.read(insn.src2) +
+            write_operand(
+                workspace, insn.dst,
+                read_operand(workspace, insn.src1) +
+                    read_operand(workspace, insn.src2) +
                     (g_mutation == InterpreterMutation::kAddOffByOne
                          ? 1
                          : 0));
             break;
           case Opcode::kSub:
-            workspace.write(insn.dst, workspace.read(insn.src1) -
-                                          workspace.read(insn.src2));
+            write_operand(workspace, insn.dst,
+                          read_operand(workspace, insn.src1) -
+                              read_operand(workspace, insn.src2));
             break;
           case Opcode::kMul:
-            workspace.write(insn.dst, workspace.read(insn.src1) *
-                                          workspace.read(insn.src2));
+            write_operand(workspace, insn.dst,
+                          read_operand(workspace, insn.src1) *
+                              read_operand(workspace, insn.src2));
             break;
           case Opcode::kDiv: {
-            const std::uint64_t divisor = workspace.read(insn.src2);
+            const std::uint64_t divisor =
+                read_operand(workspace, insn.src2);
             if (divisor == 0) {
                 result.end = IterEnd::kFault;
                 result.fault = ExecFault::kDivideByZero;
                 return result;
             }
-            workspace.write(insn.dst,
-                            workspace.read(insn.src1) / divisor);
+            write_operand(workspace, insn.dst,
+                          read_operand(workspace, insn.src1) / divisor);
             break;
           }
           case Opcode::kAnd:
-            workspace.write(insn.dst, workspace.read(insn.src1) &
-                                          workspace.read(insn.src2));
+            write_operand(workspace, insn.dst,
+                          read_operand(workspace, insn.src1) &
+                              read_operand(workspace, insn.src2));
             break;
           case Opcode::kOr:
-            workspace.write(insn.dst, workspace.read(insn.src1) |
-                                          workspace.read(insn.src2));
+            write_operand(workspace, insn.dst,
+                          read_operand(workspace, insn.src1) |
+                              read_operand(workspace, insn.src2));
             break;
           case Opcode::kNot:
-            workspace.write(insn.dst, ~workspace.read(insn.src1));
+            write_operand(workspace, insn.dst,
+                          ~read_operand(workspace, insn.src1));
             break;
           case Opcode::kMove:
             if (insn.dst.width > 8) {
@@ -219,14 +264,15 @@ run_iteration(const Program& program, Workspace& workspace,
                              src_vec.data() + insn.src1.value,
                              insn.dst.width);
             } else {
-                workspace.write(insn.dst, workspace.read(insn.src1));
+                write_operand(workspace, insn.dst,
+                              read_operand(workspace, insn.src1));
             }
             break;
           case Opcode::kCompare: {
             const auto a = static_cast<std::int64_t>(
-                workspace.read(insn.src1));
+                read_operand(workspace, insn.src1));
             const auto b = static_cast<std::int64_t>(
-                workspace.read(insn.src2));
+                read_operand(workspace, insn.src2));
             workspace.flags = (a < b) ? -1 : (a > b) ? 1 : 0;
             if (g_mutation == InterpreterMutation::kCompareInverted) {
                 workspace.flags = -workspace.flags;
@@ -251,7 +297,7 @@ run_iteration(const Program& program, Workspace& workspace,
                 result.fault = ExecFault::kSpawnDepth;
                 return result;
             }
-            const VirtAddr child = workspace.read(insn.src1);
+            const VirtAddr child = read_operand(workspace, insn.src1);
             if (child == kNullAddr) {
                 // Null-pointer spawn is a no-op: the conditional-fork
                 // idiom (e.g. padded child-pointer slots).
@@ -296,9 +342,9 @@ run_iteration(const Program& program, Workspace& workspace,
                 result.fault = ExecFault::kIllegalInstruction;
                 return result;
             }
-            const bool swapped =
-                cas(insn.dst.value, workspace.read(insn.src1),
-                    workspace.read(insn.src2));
+            const bool swapped = cas(insn.dst.value,
+                                     read_operand(workspace, insn.src1),
+                                     read_operand(workspace, insn.src2));
             workspace.flags = swapped ? 0 : 1;  // EQ on success
             break;
           }

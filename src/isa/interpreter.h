@@ -40,10 +40,12 @@ struct Workspace
     /** Size scratch/data for @p program. */
     void configure(const Program& program);
 
-    /** Zero-extend read of an operand. */
+    /** Zero-extend read of an operand. A scratch/data operand must be
+     *  scalar (width 1, 2, 4 or 8); any other width panics. */
     std::uint64_t read(const Operand& operand) const;
 
-    /** Truncating write to an operand (must be writable). */
+    /** Truncating write to an operand (must be writable; scalar
+     *  widths only, as for read()). */
     void write(const Operand& operand, std::uint64_t value);
 };
 

@@ -183,17 +183,79 @@ TEST(Interpreter, SignedCompareSemantics)
 
 TEST(Interpreter, NarrowWidthsZeroExtendAndTruncate)
 {
+    // Every legal scalar width, on both register vectors, at an
+    // unaligned offset: the write keeps only the low W bytes and leaves
+    // its neighbours alone; the read zero-extends them back.
+    constexpr std::uint64_t kValue = 0x1122334455667788ull;
+    constexpr std::uint8_t kFill = 0xAA;
+    constexpr std::uint32_t kOffset = 3;
+    constexpr std::uint32_t kWindow = 16;   // sentinel-filled bytes
+    constexpr std::uint32_t kReadback = 24; // scratch slot for the read
+    for (const std::uint16_t width : {1, 2, 4, 8}) {
+        for (const OperandKind kind :
+             {OperandKind::kScratch, OperandKind::kData}) {
+            SCOPED_TRACE(testing::Message()
+                         << "width " << width << ", "
+                         << (kind == OperandKind::kScratch ? "scratch"
+                                                           : "data"));
+            const Operand target = kind == OperandKind::kScratch
+                                       ? sp(kOffset, width)
+                                       : dat(kOffset, width);
+            ProgramBuilder b;
+            b.move(target, imm(kValue))
+                .move(sp(kReadback), target)
+                .ret()
+                .scratch_bytes(kReadback + 8);
+            Program program = b.build();
+            ASSERT_TRUE(program.verify());
+            Workspace ws;
+            ws.configure(program);
+            auto& bytes =
+                kind == OperandKind::kScratch ? ws.scratch : ws.data;
+            std::memset(bytes.data(), kFill, kWindow);
+            run_iteration(program, ws);
+
+            const std::uint64_t mask =
+                width == 8 ? ~std::uint64_t{0}
+                           : (std::uint64_t{1} << (8 * width)) - 1;
+            EXPECT_EQ(ws.read(sp(kReadback)), kValue & mask);
+            EXPECT_EQ(ws.read(target), kValue & mask);
+            for (std::uint32_t i = 0; i < kWindow; i++) {
+                const bool inside = i >= kOffset && i < kOffset + width;
+                const auto expected =
+                    inside ? static_cast<std::uint8_t>(
+                                 kValue >> (8 * (i - kOffset)))
+                           : kFill;
+                EXPECT_EQ(bytes[i], expected) << "byte " << i;
+            }
+        }
+    }
+
+    // cur_ptr is a full 64-bit register: nothing to truncate or extend.
     ProgramBuilder b;
-    b.move(sp(0), imm(0x1122334455667788ull))
-        .move(sp(8, 2), sp(0, 2))     // low 16 bits
-        .move(sp(16), sp(8, 2))       // zero-extended read
-        .ret();
+    b.move(cur(), imm(kValue)).move(sp(0), cur()).ret();
     Program program = b.build();
     ASSERT_TRUE(program.verify());
     Workspace ws;
     ws.configure(program);
     run_iteration(program, ws);
-    EXPECT_EQ(ws.read(sp(16)), 0x7788u);
+    EXPECT_EQ(ws.cur_ptr, kValue);
+    EXPECT_EQ(ws.read(sp(0)), kValue);
+    EXPECT_EQ(ws.read(cur()), kValue);
+}
+
+TEST(InterpreterDeathTest, NonScalarWidthPanics)
+{
+    // Workspace::read/write are public, so an unverified operand can
+    // reach them: a vector width must not copy past the 8-byte value,
+    // and a width that does not fit in a byte must not wrap to 0.
+    Workspace ws;
+    ws.scratch.assign(512, 0);
+    ws.data.assign(512, 0);
+    EXPECT_DEATH(ws.read(sp(0, 16)), "scalar access of width 16");
+    EXPECT_DEATH(ws.write(dat(0, 16), 1), "scalar access of width 16");
+    EXPECT_DEATH(ws.read(dat(0, 256)), "scalar access of width 256");
+    EXPECT_DEATH(ws.write(sp(0, 256), 1), "scalar access of width 256");
 }
 
 TEST(Interpreter, VectorMoveCopiesBytes)

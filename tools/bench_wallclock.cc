@@ -4,8 +4,13 @@
  * and the parallel sweep runner. Produces the BENCH_wallclock.json
  * artifact (format documented in EXPERIMENTS.md).
  *
- * Three measurements, all through an instrumented global allocator
- * (every operator new/new[] call is counted):
+ * Four measurements; the last three go through an instrumented global
+ * allocator (every operator new/new[] call is counted):
+ *
+ * 0. Interpreter microbenchmark: ns per executed instruction of
+ *    isa::run_iteration on a fixed program mix — the TSV B+tree
+ *    aggregate's leaf-scan iteration and the UPC chained-hash
+ *    bucket-walk iteration — each over a pre-filled workspace.
  *
  * 1. Event-loop microbenchmark: the same self-rescheduling event chain
  *    run on (a) a faithful reimplementation of the pre-optimization
@@ -46,6 +51,11 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "ds/bptree.h"
+#include "ds/hash_table.h"
+#include "isa/interpreter.h"
+#include "mem/allocator.h"
+#include "mem/global_memory.h"
 #include "sim/event_queue.h"
 #include "sweep_runner.h"
 
@@ -126,6 +136,114 @@ seconds_since(std::chrono::steady_clock::time_point start)
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - start)
         .count();
+}
+
+// ---------------------------------------------------------------------
+// Phase 0 — interpreter ns/instruction on a fixed program mix.
+// ---------------------------------------------------------------------
+
+/**
+ * Best-of-repeats ns per instruction of run_iteration(@p program) over
+ * @p prefilled. The workspace is laid out so every iteration takes the
+ * same path and ends in NEXT_ITER; the only state it carries forward
+ * (accumulators, cur_ptr) never changes the path.
+ */
+double
+interpreter_ns_per_instruction(const isa::Program& program,
+                               const isa::Workspace& prefilled)
+{
+    constexpr std::uint64_t kInstructions = 10'000'000;
+    constexpr int kRepeats = 5;
+    double best = 0.0;
+    for (int repeat = 0; repeat < kRepeats; repeat++) {
+        isa::Workspace workspace = prefilled;
+        std::uint64_t executed = 0;
+        const auto start = std::chrono::steady_clock::now();
+        while (executed < kInstructions) {
+            const isa::IterationResult result =
+                isa::run_iteration(program, workspace);
+            PULSE_ASSERT(result.end == isa::IterEnd::kNextIter,
+                         "interpreter mix must stay on its loop path");
+            executed += result.instructions_executed;
+        }
+        const double ns =
+            seconds_since(start) * 1e9 / static_cast<double>(executed);
+        best = repeat == 0 ? ns : std::min(best, ns);
+    }
+    return best;
+}
+
+void
+store_u64(std::vector<std::uint8_t>& bytes, std::uint32_t offset,
+          std::uint64_t value)
+{
+    std::memcpy(bytes.data() + offset, &value, sizeof(value));
+}
+
+/** Per-program and mean ns/instruction (the programs run equal
+ *  instruction counts, so the mean is the mix's cost). */
+struct InterpreterProfile
+{
+    double bptree_aggregate = 0.0;
+    double hash_bucket_walk = 0.0;
+
+    double mean() const { return (bptree_aggregate + hash_bucket_walk) / 2; }
+};
+
+InterpreterProfile
+profile_interpreter()
+{
+    // The programs are generated from the data-structure configs the
+    // TSV and UPC apps use; nothing is built in the (empty) memory.
+    mem::GlobalMemory memory(1, kMiB);
+    mem::ClusterAllocator alloc(memory.address_map(),
+                                mem::AllocPolicy::kPartitioned);
+    ds::BPTreeConfig tree_config;
+    tree_config.leaf_slots = 12;
+    const ds::BPTree tree(memory, alloc, tree_config);
+    ds::HashTableConfig table_config;
+    table_config.num_buckets = 1;
+    const ds::HashTable table(memory, alloc, table_config);
+    constexpr std::uint64_t kNextNode = 0x1000;
+    InterpreterProfile profile;
+
+    // Leaf scan: every slot's key is inside [lo, hi], so each slot runs
+    // both range compares and the SUM's two adds; the next-leaf pointer
+    // is set, so the iteration continues along the sibling chain.
+    {
+        using T = ds::BPTree;
+        const auto program = tree.aggregate_program(ds::AggKind::kSum);
+        isa::Workspace workspace;
+        workspace.configure(*program);
+        store_u64(workspace.scratch, T::kSpPhase, 1);
+        store_u64(workspace.scratch, T::kSpKey, 1);
+        store_u64(workspace.scratch, T::kSpKey2, 1000);
+        for (std::uint32_t i = 0; i < tree_config.leaf_slots; i++) {
+            const std::uint32_t slot =
+                T::kLeafSlotsOff + i * T::kLeafSlotBytes;
+            store_u64(workspace.data, slot, 10 + i);
+            store_u64(workspace.data, slot + 8, 100 + i);
+        }
+        store_u64(workspace.data, T::kLeafNextOff, kNextNode);
+        profile.bptree_aggregate =
+            interpreter_ns_per_instruction(*program, workspace);
+    }
+
+    // Bucket walk: a chain node whose key does not match and whose
+    // next pointer is set, so the iteration moves on down the chain.
+    {
+        using T = ds::HashTable;
+        const auto program = table.find_program();
+        isa::Workspace workspace;
+        workspace.configure(*program);
+        store_u64(workspace.scratch, T::kSpPhase, 1);
+        store_u64(workspace.scratch, T::kSpKey, 1);
+        store_u64(workspace.data, T::kKeyOff, 2);
+        store_u64(workspace.data, T::kNextOff, kNextNode);
+        profile.hash_bucket_walk =
+            interpreter_ns_per_instruction(*program, workspace);
+    }
+    return profile;
 }
 
 // ---------------------------------------------------------------------
@@ -319,6 +437,18 @@ main(int argc, char** argv)
     }
 
     trace::MetricsExporter exporter;
+
+    // Phase 0 — interpreter ns/instruction.
+    const InterpreterProfile interpreter = profile_interpreter();
+    exporter.set("isa.ns_per_instruction", interpreter.mean());
+    exporter.set("isa.bptree_aggregate.ns_per_instruction",
+                 interpreter.bptree_aggregate);
+    exporter.set("isa.hash_bucket_walk.ns_per_instruction",
+                 interpreter.hash_bucket_walk);
+    std::printf("interpreter: %.2f ns/instruction (B+tree leaf scan "
+                "%.2f, hash bucket walk %.2f)\n",
+                interpreter.mean(), interpreter.bptree_aggregate,
+                interpreter.hash_bucket_walk);
 
     // Phase 1 — event-loop microbenchmark.
     const std::uint64_t kChains = 64;
