@@ -257,6 +257,9 @@ Accelerator::on_packet(net::TraversalPacket&& packet)
                 break;
         }
     }
+    // The visit's first load is known now; start pulling it into the
+    // host cache while the rx-parse and scheduler events run.
+    prefetch_load(packet.cur_ptr, packet.code->load_bytes());
     // Hardware network stack: parse the packet (rx side).
     const Time parse = scaled(config_.net_stack_latency);
     stats_.net_stack_time.add(static_cast<double>(parse));
@@ -733,6 +736,8 @@ Accelerator::start_logic_phase(CoreId core_id, WorkspaceId ws,
 
     if (continue_traversal) {
         // Commit the next pointer and hand back to the memory pipeline.
+        prefetch_load(context.workspace.cur_ptr,
+                      context.packet.code->load_bytes());
         queue_.schedule_at(done, [this, core_id, ws] {
             Core& c = cores_[core_id];
             c.workspaces[ws]->packet.cur_ptr =
@@ -743,6 +748,21 @@ Accelerator::start_logic_phase(CoreId core_id, WorkspaceId ws,
         queue_.schedule_at(done, [this, core_id, ws, status, fault] {
             finish(core_id, ws, status, fault);
         });
+    }
+}
+
+void
+Accelerator::prefetch_load(VirtAddr ptr, std::uint32_t load_bytes) const
+{
+    // Host cache hint for the load start_memory_phase will issue: it
+    // touches no stats, channels, placement hotness or replication.
+    if (ptr == kNullAddr || load_bytes == 0) {
+        return;
+    }
+    const auto translated =
+        tcam_.translate_span(ptr, load_bytes, mem::Perm::kRead);
+    if (translated.status == mem::TranslateStatus::kOk) {
+        memory_.node(node_).prefetch(translated.phys, load_bytes);
     }
 }
 

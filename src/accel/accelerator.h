@@ -256,6 +256,7 @@ class Accelerator
     bool try_dispatch(net::TraversalPacket& packet);
     void start_memory_phase(CoreId core, WorkspaceId ws);
     void start_logic_phase(CoreId core, WorkspaceId ws, Time mem_done);
+    void prefetch_load(VirtAddr ptr, std::uint32_t load_bytes) const;
     void finish(CoreId core, WorkspaceId ws, isa::TraversalStatus status,
                 isa::ExecFault fault);
     void send_response(Context& context, isa::TraversalStatus status,

@@ -63,6 +63,22 @@ RpcRuntime::RpcRuntime(sim::EventQueue& queue, net::Network& network,
     for (auto& server : servers_) {
         server.busy.assign(config.workers_per_node, false);
     }
+    cas_fn_ = [this](std::uint64_t mem_off, std::uint64_t expected,
+                     std::uint64_t desired) {
+        const VirtAddr addr = cas_ptr_ + mem_off;
+        const auto owner = memory_.address_map().node_for(addr);
+        if (!owner || *owner != cas_node_) {
+            return false;  // off-node CAS is not supported
+        }
+        node_channels_[cas_node_]->access(queue_.now(), 8);
+        const std::uint64_t current =
+            memory_.read_as<std::uint64_t>(addr);
+        if (current != expected) {
+            return false;
+        }
+        memory_.write_as<std::uint64_t>(addr, desired);
+        return true;
+    };
 }
 
 void
@@ -240,25 +256,12 @@ RpcRuntime::execute_step(const std::shared_ptr<OpState>& state,
         std::fill_n(state->workspace.data.begin(), load_bytes, 0);
     }
 
-    isa::CasFn cas = [this, ptr, node](std::uint64_t mem_off,
-                                       std::uint64_t expected,
-                                       std::uint64_t desired) {
-        const VirtAddr addr = ptr + mem_off;
-        const auto owner = memory_.address_map().node_for(addr);
-        if (!owner || *owner != node) {
-            return false;  // off-node CAS is not supported
-        }
-        node_channels_[node]->access(queue_.now(), 8);
-        const std::uint64_t current =
-            memory_.read_as<std::uint64_t>(addr);
-        if (current != expected) {
-            return false;
-        }
-        memory_.write_as<std::uint64_t>(addr, desired);
-        return true;
-    };
+    // Iterations run synchronously and never nest, so the CAS hook's
+    // operand slots are safe to re-arm here.
+    cas_ptr_ = ptr;
+    cas_node_ = node;
     isa::IterationResult iter =
-        run_iteration(*state->op.program, state->workspace, cas);
+        run_iteration(*state->op.program, state->workspace, cas_fn_);
     state->iterations++;
     stats_.iterations.increment();
     iter_done += config_.cpu_time(iter.instructions_executed);
@@ -311,6 +314,9 @@ RpcRuntime::execute_step(const std::shared_ptr<OpState>& state,
             });
             return;
         }
+        // The next load's address is known: start pulling it into the
+        // host cache while the event queue runs up to iter_done.
+        memory_.prefetch(state->workspace.cur_ptr, load_bytes);
         queue_.schedule_at(iter_done,
                            [this, state, node, worker, start] {
                                execute_step(state, node, worker, start);

@@ -117,6 +117,10 @@ class RpcRuntime
                std::vector<mem::ChannelSet*> node_channels,
                ClientId client, const RpcConfig& config);
 
+    // cas_fn_ captures `this`.
+    RpcRuntime(const RpcRuntime&) = delete;
+    RpcRuntime& operator=(const RpcRuntime&) = delete;
+
     /** Execute a traversal via RPC; op.done fires on completion. */
     void submit(offload::Operation&& op);
 
@@ -188,6 +192,16 @@ class RpcRuntime
     std::vector<NodeServer> servers_;
     RpcStats stats_;
     std::size_t inflight_ = 0;
+    /**
+     * CAS hook for run_iteration, built once in the constructor (its
+     * capture is `this` only, which fits std::function's inline
+     * buffer). execute_step re-arms the iteration's base pointer and
+     * node in cas_ptr_/cas_node_ instead of building a closure per
+     * iteration.
+     */
+    isa::CasFn cas_fn_;
+    VirtAddr cas_ptr_ = 0;
+    NodeId cas_node_ = 0;
 };
 
 }  // namespace pulse::baselines

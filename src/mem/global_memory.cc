@@ -67,4 +67,15 @@ GlobalMemory::write(VirtAddr va, const void* in, Bytes len)
     }
 }
 
+void
+GlobalMemory::prefetch(VirtAddr va, Bytes len) const
+{
+    if (!map_.home_node_for(va).has_value()) {
+        return;
+    }
+    const Placement p = map_.placement_for(va);
+    nodes_[p.node]->prefetch(p.phys,
+                             len < p.contiguous ? len : p.contiguous);
+}
+
 }  // namespace pulse::mem

@@ -60,6 +60,14 @@ class GlobalMemory
     void write(VirtAddr va, const void* in, Bytes len);
 
     /**
+     * Host cache hint for an upcoming read(@p va, @p len): prefetches
+     * the span's first placement segment on its current node. It
+     * changes no simulated state and does nothing for a VA outside the
+     * VA space (a null pointer included).
+     */
+    void prefetch(VirtAddr va, Bytes len) const;
+
+    /**
      * Sum of PhysicalMemory::mutations() across nodes: a cheap global
      * version counter for memory content. The golden oracle samples it
      * at submit and completion to decide whether an exact comparison

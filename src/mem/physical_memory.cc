@@ -1,81 +1,172 @@
 #include "mem/physical_memory.h"
 
+#include <sys/mman.h>
+
 #include <cstring>
+#include <mutex>
+#include <utility>
 
 #include "common/logging.h"
 
 namespace pulse::mem {
 
-PhysicalMemory::PhysicalMemory(Bytes capacity) : capacity_(capacity)
+namespace {
+
+// Transparent-huge-page size on x86-64 and arm64 (4 KiB base pages).
+constexpr std::uintptr_t kHugePage = 2 * kMiB;
+
+constexpr std::uintptr_t
+round_up(std::uintptr_t value, std::uintptr_t align)
+{
+    return (value + align - 1) & ~(align - 1);
+}
+
+/**
+ * Released node mappings, every byte zero, kept for the next node of
+ * the same size. A cluster rebuilt in one process (benchmark
+ * repetitions, sweep cells, test fixtures) then writes into pages
+ * that are already resident instead of faulting in and zeroing fresh
+ * ones, which dominated set-up time.
+ */
+struct MappingPool
+{
+    static constexpr std::size_t kMaxMappings = 16;
+
+    std::mutex mutex;
+    std::vector<std::pair<std::uint8_t*, Bytes>> free;  // base, size
+};
+
+MappingPool&
+mapping_pool()
+{
+    // Never destroyed: nodes may be released during static teardown.
+    static auto* pool = new MappingPool;
+    return *pool;
+}
+
+/** A 2 MiB-aligned, huge-page-advised, all-zero mapping of @p size. */
+std::uint8_t*
+acquire_mapping(Bytes size)
+{
+    MappingPool& pool = mapping_pool();
+    {
+        std::lock_guard<std::mutex> lock(pool.mutex);
+        for (auto it = pool.free.begin(); it != pool.free.end(); ++it) {
+            if (it->second == size) {
+                std::uint8_t* base = it->first;
+                pool.free.erase(it);
+                return base;
+            }
+        }
+    }
+    // Reserve one huge page of slack, then trim the reservation to a
+    // 2 MiB-aligned span so every huge page lies wholly inside it.
+    const std::size_t reserve = size + kHugePage;
+    void* raw = mmap(nullptr, reserve, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    PULSE_ASSERT(raw != MAP_FAILED,
+                 "cannot reserve %llu bytes of host address space for "
+                 "a memory node",
+                 static_cast<unsigned long long>(reserve));
+    const auto start = reinterpret_cast<std::uintptr_t>(raw);
+    const std::uintptr_t aligned = round_up(start, kHugePage);
+    if (aligned > start) {
+        munmap(raw, aligned - start);
+    }
+    const std::uintptr_t tail = start + reserve - (aligned + size);
+    if (tail > 0) {
+        munmap(reinterpret_cast<void*>(aligned + size), tail);
+    }
+    auto* base = reinterpret_cast<std::uint8_t*>(aligned);
+#ifdef MADV_HUGEPAGE
+    // Advisory: with THP disabled on the host this fails harmlessly
+    // and the node stays on 4 KiB pages.
+    madvise(base, size, MADV_HUGEPAGE);
+#endif
+    return base;
+}
+
+/** Return an all-zero mapping to the pool, or unmap it when full. */
+void
+release_mapping(std::uint8_t* base, Bytes size)
+{
+    MappingPool& pool = mapping_pool();
+    {
+        std::lock_guard<std::mutex> lock(pool.mutex);
+        if (pool.free.size() < MappingPool::kMaxMappings) {
+            pool.free.emplace_back(base, size);
+            return;
+        }
+    }
+    munmap(base, size);
+}
+
+}  // namespace
+
+PhysicalMemory::PhysicalMemory(Bytes capacity)
+    : capacity_(capacity),
+      mapping_size_(round_up(capacity, kHugePage)),
+      chunk_committed_((capacity + kChunkSize - 1) / kChunkSize, false)
 {
     PULSE_ASSERT(capacity > 0, "zero-capacity memory node");
-    chunks_.resize((capacity + kChunkSize - 1) / kChunkSize);
+    base_ = acquire_mapping(mapping_size_);
 }
 
-Bytes
-PhysicalMemory::committed() const
+PhysicalMemory::~PhysicalMemory()
 {
-    Bytes total = 0;
-    for (const auto& chunk : chunks_) {
-        if (chunk) {
-            total += kChunkSize;
+    // Only written chunks can hold non-zero bytes.
+    for (std::size_t i = 0; i < chunk_committed_.size(); i++) {
+        if (chunk_committed_[i]) {
+            std::memset(base_ + i * kChunkSize, 0, kChunkSize);
         }
     }
-    return total;
-}
-
-std::uint8_t*
-PhysicalMemory::chunk_for(PhysAddr addr, bool commit) const
-{
-    const auto index = addr / kChunkSize;
-    PULSE_ASSERT(index < chunks_.size(),
-                 "physical address 0x%llx out of range",
-                 static_cast<unsigned long long>(addr));
-    if (!chunks_[index]) {
-        if (!commit) {
-            return nullptr;
-        }
-        chunks_[index] = std::make_unique<std::uint8_t[]>(kChunkSize);
-        std::memset(chunks_[index].get(), 0, kChunkSize);
-    }
-    return chunks_[index].get();
+    release_mapping(base_, mapping_size_);
 }
 
 void
 PhysicalMemory::read(PhysAddr addr, void* out, Bytes len) const
 {
-    PULSE_ASSERT(addr + len <= capacity_, "read past end of memory");
-    auto* dst = static_cast<std::uint8_t*>(out);
-    while (len > 0) {
-        const Bytes offset = addr % kChunkSize;
-        const Bytes take = std::min(len, kChunkSize - offset);
-        const std::uint8_t* chunk = chunk_for(addr, /*commit=*/false);
-        if (chunk) {
-            std::memcpy(dst, chunk + offset, take);
-        } else {
-            std::memset(dst, 0, take);  // never-written memory reads 0
-        }
-        dst += take;
-        addr += take;
-        len -= take;
+    PULSE_ASSERT(len <= capacity_ && addr <= capacity_ - len,
+                 "read past end of memory");
+    if (len > 0) {
+        // Never-written memory reads 0 (the kernel's zero page).
+        std::memcpy(out, base_ + addr, len);
     }
 }
 
 void
 PhysicalMemory::write(PhysAddr addr, const void* in, Bytes len)
 {
-    PULSE_ASSERT(addr + len <= capacity_, "write past end of memory");
+    PULSE_ASSERT(len <= capacity_ && addr <= capacity_ - len,
+                 "write past end of memory");
     mutations_++;
-    const auto* src = static_cast<const std::uint8_t*>(in);
-    while (len > 0) {
-        const Bytes offset = addr % kChunkSize;
-        const Bytes take = std::min(len, kChunkSize - offset);
-        std::uint8_t* chunk = chunk_for(addr, /*commit=*/true);
-        std::memcpy(chunk + offset, src, take);
-        src += take;
-        addr += take;
-        len -= take;
+    if (len == 0) {
+        return;
     }
+    std::memcpy(base_ + addr, in, len);
+    const std::uint64_t last = (addr + len - 1) / kChunkSize;
+    for (std::uint64_t chunk = addr / kChunkSize; chunk <= last; chunk++) {
+        if (!chunk_committed_[chunk]) {
+            chunk_committed_[chunk] = true;
+            committed_chunks_++;
+        }
+    }
+}
+
+// Out of line on purpose: GCC deduces that a function whose only
+// effect is __builtin_prefetch is pure, and deletes an inlined call to
+// it whose (void) result is unused.
+void
+PhysicalMemory::prefetch(PhysAddr addr, Bytes len) const
+{
+    if (len == 0 || addr >= capacity_ || len > capacity_ - addr) {
+        return;
+    }
+    const std::uint8_t* start = base_ + addr;
+    for (Bytes offset = 0; offset < len; offset += 64) {
+        __builtin_prefetch(start + offset);
+    }
+    __builtin_prefetch(start + len - 1);  // tail line of the span
 }
 
 void
@@ -84,17 +175,11 @@ PhysicalMemory::save_state(StateWriter& writer) const
     writer.put_tag("PMEM");
     writer.put_u64(capacity_);
     writer.put_u64(mutations_);
-    std::uint64_t committed_chunks = 0;
-    for (const auto& chunk : chunks_) {
-        if (chunk) {
-            committed_chunks++;
-        }
-    }
-    writer.put_u64(committed_chunks);
-    for (std::size_t i = 0; i < chunks_.size(); i++) {
-        if (chunks_[i]) {
+    writer.put_u64(committed_chunks_);
+    for (std::size_t i = 0; i < chunk_committed_.size(); i++) {
+        if (chunk_committed_[i]) {
             writer.put_u64(i);
-            writer.put_bytes(chunks_[i].get(), kChunkSize);
+            writer.put_bytes(base_ + i * kChunkSize, kChunkSize);
         }
     }
 }
@@ -107,18 +192,26 @@ PhysicalMemory::load_state(StateReader& reader)
     PULSE_ASSERT(capacity == capacity_,
                  "checkpoint node capacity mismatch");
     mutations_ = reader.get_u64();
-    // Decommit everything first: a chunk committed by the current run
-    // but absent from the snapshot must read zeros again.
-    for (auto& chunk : chunks_) {
-        chunk.reset();
-    }
+    std::vector<bool> was_committed(chunk_committed_.size(), false);
+    was_committed.swap(chunk_committed_);
+    committed_chunks_ = 0;
     const std::uint64_t committed_chunks = reader.get_u64();
     for (std::uint64_t c = 0; c < committed_chunks; c++) {
         const std::uint64_t index = reader.get_u64();
-        PULSE_ASSERT(index < chunks_.size(),
+        PULSE_ASSERT(index < chunk_committed_.size(),
                      "checkpoint chunk index out of range");
-        chunks_[index] = std::make_unique<std::uint8_t[]>(kChunkSize);
-        reader.get_bytes_into(chunks_[index].get(), kChunkSize);
+        reader.get_bytes_into(base_ + index * kChunkSize, kChunkSize);
+        if (!chunk_committed_[index]) {
+            chunk_committed_[index] = true;
+            committed_chunks_++;
+        }
+    }
+    // A chunk the current run wrote but the snapshot lacks must read
+    // zeros again.
+    for (std::size_t i = 0; i < chunk_committed_.size(); i++) {
+        if (was_committed[i] && !chunk_committed_[i]) {
+            std::memset(base_ + i * kChunkSize, 0, kChunkSize);
+        }
     }
 }
 

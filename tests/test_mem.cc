@@ -63,11 +63,112 @@ TEST(PhysicalMemory, CrossChunkAccess)
     EXPECT_EQ(out, data);
 }
 
+TEST(PhysicalMemory, StraddlingWriteCommitsBothChunks)
+{
+    PhysicalMemory memory(4 * kMiB);
+    const std::uint64_t value = 0x0123456789abcdefull;
+    const PhysAddr addr = 2 * kMiB - 3;  // 3 bytes before, 5 after
+    memory.write_as<std::uint64_t>(addr, value);
+    EXPECT_EQ(memory.read_as<std::uint64_t>(addr), value);
+    EXPECT_EQ(memory.committed(), 2 * kMiB);
+    // The halves sit on either side of the old chunk boundary.
+    EXPECT_EQ(memory.read_as<std::uint8_t>(2 * kMiB - 1),
+              static_cast<std::uint8_t>(value >> 16));
+    EXPECT_EQ(memory.read_as<std::uint8_t>(2 * kMiB),
+              static_cast<std::uint8_t>(value >> 24));
+}
+
+TEST(PhysicalMemory, HugeNodeCommitsOnlyWrittenChunks)
+{
+    const Bytes capacity = 64ull * 1024 * kMiB;  // 64 GiB, reserved
+    PhysicalMemory memory(capacity);
+    memory.write_as<std::uint64_t>(0, 1);
+    memory.write_as<std::uint64_t>(capacity - 8, 2);
+    EXPECT_EQ(memory.committed(), 2 * kMiB);
+    EXPECT_EQ(memory.read_as<std::uint64_t>(capacity / 2), 0u);
+    EXPECT_EQ(memory.read_as<std::uint64_t>(capacity - 8), 2u);
+    EXPECT_EQ(memory.committed(), 2 * kMiB);  // reads commit nothing
+}
+
+TEST(PhysicalMemory, ReleasedMappingComesBackZeroed)
+{
+    // A node's mapping is recycled for the next node of the same size;
+    // whatever the first node wrote must not leak into the second.
+    for (int round = 0; round < 3; round++) {
+        PhysicalMemory memory(8 * kMiB);
+        EXPECT_EQ(memory.committed(), 0u);
+        EXPECT_EQ(memory.read_as<std::uint64_t>(kMiB + 8), 0u);
+        EXPECT_EQ(memory.read_as<std::uint64_t>(8 * kMiB - 8), 0u);
+        memory.write_as<std::uint64_t>(kMiB + 8, 0xfeedu + round);
+        memory.write_as<std::uint64_t>(8 * kMiB - 8, 0xbeefu + round);
+    }
+}
+
+TEST(PhysicalMemory, RestoreZeroesChunksWrittenAfterCheckpoint)
+{
+    PhysicalMemory memory(8 * kMiB);
+    memory.write_as<std::uint64_t>(100, 7);
+    StateWriter writer;
+    memory.save_state(writer);
+    const std::vector<std::uint8_t> blob = writer.take();
+
+    memory.write_as<std::uint64_t>(5 * kMiB + 64, 9);
+    memory.write_as<std::uint64_t>(100, 8);
+    EXPECT_EQ(memory.committed(), 2 * kMiB);
+
+    StateReader reader(blob);
+    memory.load_state(reader);
+    EXPECT_EQ(memory.read_as<std::uint64_t>(5 * kMiB + 64), 0u);
+    EXPECT_EQ(memory.read_as<std::uint64_t>(100), 7u);
+    EXPECT_EQ(memory.committed(), 1 * kMiB);
+    EXPECT_EQ(memory.mutations(), 1u);
+
+    // Saving the restored store reproduces the checkpoint byte for
+    // byte.
+    StateWriter again;
+    memory.save_state(again);
+    EXPECT_EQ(again.take(), blob);
+}
+
+TEST(PhysicalMemory, PrefetchHasNoSideEffects)
+{
+    PhysicalMemory memory(4 * kMiB);
+    memory.write_as<std::uint64_t>(0, 5);
+    const Bytes committed = memory.committed();
+    const std::uint64_t mutations = memory.mutations();
+    memory.prefetch(0, 256);                // null address, written
+    memory.prefetch(3 * kMiB, 256);         // never written
+    memory.prefetch(4 * kMiB - 100, 256);   // runs past the end
+    memory.prefetch(4 * kMiB, 64);          // starts at the end
+    memory.prefetch(~PhysAddr{0} - 8, 64);  // would wrap around
+    memory.prefetch(1024, 0);               // empty span
+    EXPECT_EQ(memory.committed(), committed);
+    EXPECT_EQ(memory.mutations(), mutations);
+    EXPECT_EQ(memory.read_as<std::uint64_t>(3 * kMiB), 0u);
+
+    GlobalMemory global(2, 4 * kMiB);
+    const VirtAddr base = global.address_map().region(1).base;
+    global.prefetch(kNullAddr, 256);
+    global.prefetch(base + 8 * kMiB, 256);  // past the last region
+    global.prefetch(base + 4 * kMiB - 64, 256);
+    global.prefetch(base, 256);
+    EXPECT_EQ(global.node(0).committed(), 0u);
+    EXPECT_EQ(global.node(1).committed(), 0u);
+    EXPECT_EQ(global.mutation_count(), 0u);
+}
+
 TEST(PhysicalMemoryDeath, OutOfRangePanics)
 {
     PhysicalMemory memory(1 * kMiB);
     std::uint64_t word = 0;
     EXPECT_DEATH(memory.read(kMiB - 4, &word, 8), "past end");
+}
+
+TEST(PhysicalMemoryDeath, WrappingAddressPanics)
+{
+    PhysicalMemory memory(1 * kMiB);
+    std::uint64_t word = 0;
+    EXPECT_DEATH(memory.write(~PhysAddr{0} - 3, &word, 8), "past end");
 }
 
 // ------------------------------------------------------ address map

@@ -10,7 +10,10 @@
  * 0. Interpreter microbenchmark: ns per executed instruction of
  *    isa::run_iteration on a fixed program mix — the TSV B+tree
  *    aggregate's leaf-scan iteration and the UPC chained-hash
- *    bucket-walk iteration — each over a pre-filled workspace.
+ *    bucket-walk iteration — each over a pre-filled workspace. Then
+ *    the simulated-DRAM row: ns per dependent, random 256-byte
+ *    PhysicalMemory::read over a 64 MiB node, and whether the host
+ *    backed the node with transparent huge pages.
  *
  * 1. Event-loop microbenchmark: the same self-rescheduling event chain
  *    run on (a) a faithful reimplementation of the pre-optimization
@@ -51,11 +54,13 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/random.h"
 #include "ds/bptree.h"
 #include "ds/hash_table.h"
 #include "isa/interpreter.h"
 #include "mem/allocator.h"
 #include "mem/global_memory.h"
+#include "mem/physical_memory.h"
 #include "sim/event_queue.h"
 #include "sweep_runner.h"
 
@@ -243,6 +248,84 @@ profile_interpreter()
         profile.hash_bucket_walk =
             interpreter_ns_per_instruction(*program, workspace);
     }
+    return profile;
+}
+
+// ---------------------------------------------------------------------
+// Phase 0b — simulated-DRAM load latency.
+// ---------------------------------------------------------------------
+
+/** True when /proc/self/smaps_rollup reports AnonHugePages > 0. */
+bool
+process_has_huge_pages()
+{
+    std::FILE* file = std::fopen("/proc/self/smaps_rollup", "r");
+    if (file == nullptr) {
+        return false;
+    }
+    char line[256];
+    unsigned long long kib = 0;
+    while (std::fgets(line, sizeof(line), file) != nullptr) {
+        if (std::sscanf(line, "AnonHugePages: %llu kB", &kib) == 1) {
+            break;
+        }
+    }
+    std::fclose(file);
+    return kib > 0;
+}
+
+struct MemoryProfile
+{
+    double random_load_ns = 0.0;
+    bool huge_pages = false;
+};
+
+/**
+ * Best-of-repeats ns per 256-byte PhysicalMemory::read at a random
+ * 256-byte-aligned offset over a fully written 64 MiB node, with no
+ * prefetch: the host cost of one simulated pointer hop. Each slot
+ * stores the index of the next slot on one random cycle through all
+ * slots (Sattolo's shuffle), so every load depends on the one before,
+ * as a traversal's do.
+ */
+MemoryProfile
+profile_memory()
+{
+    constexpr Bytes kNodeBytes = 64 * kMiB;
+    constexpr Bytes kLoadBytes = 256;
+    constexpr std::uint64_t kSlots = kNodeBytes / kLoadBytes;
+    constexpr std::uint64_t kLoads = 1'000'000;
+    constexpr int kRepeats = 3;
+
+    std::vector<std::uint64_t> next(kSlots);
+    for (std::uint64_t i = 0; i < kSlots; i++) {
+        next[i] = i;
+    }
+    Rng rng(42);
+    for (std::uint64_t i = kSlots - 1; i > 0; i--) {
+        std::swap(next[i], next[rng.next_below(i)]);
+    }
+    mem::PhysicalMemory memory(kNodeBytes);
+    for (std::uint64_t i = 0; i < kSlots; i++) {
+        memory.write_as<std::uint64_t>(i * kLoadBytes, next[i]);
+    }
+
+    MemoryProfile profile;
+    std::uint8_t load[kLoadBytes] = {};
+    std::uint64_t slot = 0;
+    for (int repeat = 0; repeat < kRepeats; repeat++) {
+        const auto start = std::chrono::steady_clock::now();
+        for (std::uint64_t i = 0; i < kLoads; i++) {
+            memory.read(slot * kLoadBytes, load, kLoadBytes);
+            std::memcpy(&slot, load, sizeof(slot));
+        }
+        const double ns = seconds_since(start) * 1e9 /
+                          static_cast<double>(kLoads);
+        profile.random_load_ns =
+            repeat == 0 ? ns : std::min(profile.random_load_ns, ns);
+    }
+    PULSE_ASSERT(slot < kSlots, "pointer chase left the node");
+    profile.huge_pages = process_has_huge_pages();
     return profile;
 }
 
@@ -449,6 +532,15 @@ main(int argc, char** argv)
                 "%.2f, hash bucket walk %.2f)\n",
                 interpreter.mean(), interpreter.bptree_aggregate,
                 interpreter.hash_bucket_walk);
+
+    // Phase 0b — simulated-DRAM load latency.
+    const MemoryProfile memory_profile = profile_memory();
+    exporter.set("mem.random_load_ns", memory_profile.random_load_ns);
+    exporter.set("mem.huge_pages", memory_profile.huge_pages ? 1.0 : 0.0);
+    std::printf("memory: %.1f ns per dependent random 256 B load (%s "
+                "huge pages)\n",
+                memory_profile.random_load_ns,
+                memory_profile.huge_pages ? "with" : "without");
 
     // Phase 1 — event-loop microbenchmark.
     const std::uint64_t kChains = 64;
