@@ -83,55 +83,40 @@ Cluster::Cluster(const ClusterConfig& config)
         PULSE_ASSERT(installed, "TCAM rejected the node region");
     }
 
+    std::vector<mem::RangeTcam*> tcams;
+    std::vector<accel::ReplayWindow*> replays;
+    for (auto& accelerator : accelerators_) {
+        tcams.push_back(&accelerator->tcam());
+        replays.push_back(&accelerator->replay_window());
+    }
+    ownership_ = std::make_unique<OwnershipAuthority>(
+        *memory_, *allocator_, network_->switch_table(), std::move(tcams),
+        replays);
+
     if (config.placement.enabled()) {
-        std::vector<mem::RangeTcam*> tcams;
-        tcams.reserve(accelerators_.size());
-        for (auto& accelerator : accelerators_) {
-            tcams.push_back(&accelerator->tcam());
-        }
         placement_plane_ = std::make_unique<placement::PlacementPlane>(
-            queue_, *network_, *memory_, *allocator_, std::move(tcams),
-            channel_ptrs, config.placement);
+            queue_, *network_, *memory_, *allocator_, *ownership_,
+            channel_ptrs, config.copy, config.placement);
         for (auto& accelerator : accelerators_) {
             accelerator->set_placement(placement_plane_.get());
         }
-        // Cutovers hand the source accelerator's dedup window to the
-        // destination so exactly-once survives the responder change.
-        std::vector<accel::ReplayWindow*> replays;
-        replays.reserve(accelerators_.size());
-        for (auto& accelerator : accelerators_) {
-            replays.push_back(&accelerator->replay_window());
-        }
-        placement_plane_->attach_replay_windows(std::move(replays));
+        placement_plane_->attach_replay_windows(replays);
     }
 
     if (config.replication.enabled()) {
-        std::vector<mem::RangeTcam*> tcams;
-        std::vector<accel::ReplayWindow*> replays;
-        tcams.reserve(accelerators_.size());
-        replays.reserve(accelerators_.size());
-        for (auto& accelerator : accelerators_) {
-            tcams.push_back(&accelerator->tcam());
-            replays.push_back(&accelerator->replay_window());
-        }
         replication_plane_ =
             std::make_unique<replication::ReplicationPlane>(
-                queue_, *network_, *memory_, *allocator_,
-                std::move(tcams), channel_ptrs, config.replication);
-        replication_plane_->attach_replay_windows(std::move(replays));
+                queue_, *network_, *memory_, *allocator_, *ownership_,
+                channel_ptrs, config.copy, config.replication);
+        replication_plane_->attach_replay_windows(replays);
         for (auto& accelerator : accelerators_) {
             accelerator->set_replication(replication_plane_.get());
         }
-        // A migration cutover changes the authoritative owner of a
-        // span; the plane must know so its mirrors skip the owner.
-        if (placement_plane_) {
-            placement_plane_->set_cutover_observer(
-                [plane = replication_plane_.get()](
-                    NodeId src, NodeId dst, VirtAddr va_base,
-                    Bytes length) {
-                    plane->notify_cutover(src, dst, va_base, length);
-                });
-        }
+        // Migration churn keeps the plane's control loops armed.
+        ownership_->set_cutover_observer(
+            [plane = replication_plane_.get()] {
+                plane->notify_cutover();
+            });
         // Scripted crash windows heal at their end: resume probing the
         // node and let the scan rebuild redundancy involving it.
         faults::schedule_recoveries(

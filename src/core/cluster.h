@@ -30,6 +30,7 @@
 #include "check/check_config.h"
 #include "check/checker.h"
 #include "common/stats.h"
+#include "core/transfer.h"
 #include "faults/fault_plane.h"
 #include "mem/allocator.h"
 #include "mem/global_memory.h"
@@ -138,6 +139,12 @@ struct ClusterConfig
     replication::ReplicationConfig replication;
 
     /**
+     * The span copy shared by migration and replication (chunk size,
+     * window, RTO, retry budget). Inert unless one of them is on.
+     */
+    CopyConfig copy;
+
+    /**
      * Multi-tenant serving plane (src/serve): per-tenant token-bucket
      * quotas, SLO classes with queue-depth caps and load shedding, and
      * WDRR admission weights. Off by default — no QosController is
@@ -192,6 +199,9 @@ class Cluster
 
     /** The checking subsystem; nullptr when config.check is all-off. */
     check::Checker* checker() { return checker_.get(); }
+
+    /** The single authority over which node owns a span. */
+    OwnershipAuthority& ownership() { return *ownership_; }
 
     /** The placement plane; nullptr when config.placement is off. */
     placement::PlacementPlane* placement_plane()
@@ -290,6 +300,7 @@ class Cluster
     std::unique_ptr<net::Network> network_;
     std::unique_ptr<faults::FaultPlane> fault_plane_;
     std::unique_ptr<check::Checker> checker_;
+    std::unique_ptr<OwnershipAuthority> ownership_;
     std::unique_ptr<placement::PlacementPlane> placement_plane_;
     std::unique_ptr<replication::ReplicationPlane> replication_plane_;
     std::unique_ptr<serve::QosController> serve_plane_;

@@ -14,11 +14,14 @@
  *
  * Within a node this is a bump allocator with alignment; the evaluation
  * never frees mid-run (builders populate once, then the workload is
- * read-mostly), matching the paper's setup. The one exception is live
- * migration: the placement plane reserves backing store for a slab's
- * new home with alloc_backing and returns the vacated range with
- * free_backing, so repeated rebalancing reuses addresses instead of
- * leaking the old ranges.
+ * read-mostly), matching the paper's setup. The exception is backing
+ * store past the bump frontier: live migration reserves a slab's new
+ * home and replication reserves each replica with alloc_backing, and
+ * the ownership transfer (core/transfer.h) returns a vacated frame
+ * with free_backing, so repeated rebalancing reuses addresses instead
+ * of leaking the old ranges. A vacated home frame is returned only up
+ * to the application frontier: the bytes past it are backing reserved
+ * for other spans.
  */
 #ifndef PULSE_MEM_ALLOCATOR_H
 #define PULSE_MEM_ALLOCATOR_H
@@ -91,7 +94,7 @@ class ClusterAllocator
 
     /**
      * Reserve @p size bytes of node-local backing store on @p node for
-     * a migrated slab. Prefers ranges recycled by free_backing (first
+     * a migrated slab or a replica. Prefers ranges recycled by free_backing (first
      * fit) and falls back to the bump frontier. Returns the node-local
      * physical offset, or kNullAddr-equivalent failure as
      * @c Bytes(-1) when the node is exhausted.

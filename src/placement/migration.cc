@@ -1,264 +1,77 @@
 #include "placement/migration.h"
 
-#include <algorithm>
-#include <cstdint>
-#include <vector>
-
-#include "common/logging.h"
+#include <utility>
 
 namespace pulse::placement {
-
-namespace {
-/** Ack packets carry a chunk id + checksum: a NIC-header-sized frame. */
-constexpr Bytes kAckBytes = 64;
-/** Slab backing keeps data-structure node alignment. */
-constexpr Bytes kBackingAlign = 256;
-}  // namespace
 
 MigrationEngine::MigrationEngine(sim::EventQueue& queue,
                                  net::Network& network,
                                  mem::GlobalMemory& memory,
                                  mem::ClusterAllocator& allocator,
-                                 std::vector<mem::RangeTcam*> tcams,
+                                 core::OwnershipAuthority& ownership,
                                  std::vector<mem::ChannelSet*> channels,
-                                 const PlacementConfig& config)
-    : queue_(queue), network_(network), memory_(memory),
-      allocator_(allocator), tcams_(std::move(tcams)),
-      channels_(std::move(channels)), config_(config)
+                                 const core::CopyConfig& copy)
+    : memory_(memory), allocator_(allocator), ownership_(ownership),
+      copier_(queue, network, memory, std::move(channels), copy,
+              core::CopyCounters{stats_.chunks_sent,
+                                 stats_.chunks_retransmitted,
+                                 stats_.bytes_copied})
 {
-    PULSE_ASSERT(config_.copy_chunk_bytes > 0, "zero copy chunk");
-    PULSE_ASSERT(config_.copy_window > 0, "zero copy window");
-}
-
-Bytes
-MigrationEngine::chunk_offset(std::size_t chunk) const
-{
-    return static_cast<Bytes>(chunk) * config_.copy_chunk_bytes;
-}
-
-Bytes
-MigrationEngine::chunk_length(std::size_t chunk) const
-{
-    const Bytes offset = chunk_offset(chunk);
-    return std::min(config_.copy_chunk_bytes,
-                    active_->length - offset);
 }
 
 bool
 MigrationEngine::start(VirtAddr va_base, Bytes length, NodeId dst,
                        std::function<void(bool)> on_done)
 {
-    if (active_ || length == 0 || dst >= tcams_.size() ||
+    if (copier_.active() || length == 0 || dst >= memory_.num_nodes() ||
         !memory_.address_map().node_for(va_base).has_value()) {
         return false;
     }
     // PLAN: the span must be contiguously placed on one (other) node
-    // and fully backed (below the owner's bump frontier).
+    // and fully backed (below the owner's bump frontier), and the
+    // cutover's TCAM updates must be guaranteed before anything moves.
     const mem::Placement p =
         memory_.address_map().placement_for(va_base);
     if (p.node == dst || p.contiguous < length ||
-        p.phys + length > allocator_.allocated_on(p.node)) {
-        return false;
-    }
-    // Both TCAM updates must be guaranteed before anything moves, so
-    // cutover can never half-fail: the source entry must be punchable
-    // and the destination must have a free slot (coalescing may make
-    // the slot unnecessary, but the pre-check is conservative).
-    if (!tcams_[p.node]->can_punch(va_base, length) ||
-        tcams_[dst]->size() >= tcams_[dst]->capacity()) {
+        p.phys + length > allocator_.allocated_on(p.node) ||
+        !ownership_.can_transfer(va_base, length, p.node, dst)) {
         return false;
     }
     const Bytes dst_phys =
-        allocator_.alloc_backing(dst, length, kBackingAlign);
+        allocator_.alloc_backing(dst, length, core::kBackingAlign);
     if (dst_phys == mem::ClusterAllocator::kNoBacking) {
         return false;
     }
-
-    const std::size_t chunks = static_cast<std::size_t>(
-        (length + config_.copy_chunk_bytes - 1) /
-        config_.copy_chunk_bytes);
-    active_.emplace();
-    active_->va_base = va_base;
-    active_->length = length;
-    active_->src = p.node;
-    active_->dst = dst;
-    active_->src_phys = p.phys;
-    active_->dst_phys = dst_phys;
-    active_->acked.assign(chunks, false);
-    active_->on_done = std::move(on_done);
     stats_.started.increment();
 
-    // COPY: open the selective-repeat window.
-    const std::size_t window =
-        std::min<std::size_t>(config_.copy_window, chunks);
-    for (std::size_t i = 0; i < window; i++) {
-        send_chunk(active_->next_unsent++, /*retransmit=*/false);
-    }
+    const core::CopySpan span{va_base, length, p.node, dst, dst_phys};
+    copier_.start(span, [this, span, on_done = std::move(on_done)](
+                            bool copied) {
+        if (copied) {
+            cutover(span);
+        } else {
+            allocator_.free_backing(span.dst, span.dst_phys, span.length);
+            stats_.aborted.increment();
+        }
+        if (on_done) {
+            on_done(copied);
+        }
+    });
     return true;
 }
 
 void
-MigrationEngine::send_chunk(std::size_t chunk, bool retransmit)
+MigrationEngine::cutover(const core::CopySpan& span)
 {
-    Active& m = *active_;
-    const Bytes len = chunk_length(chunk);
-    stats_.chunks_sent.increment();
-    stats_.bytes_copied.increment(len);
-    if (retransmit) {
-        stats_.chunks_retransmitted.increment();
-    }
-    // The source DMA engine reads the chunk through the node's DRAM
-    // channels (copy traffic contends with traversal loads), then the
-    // chunk crosses the fabric as an ordinary message — the fault
-    // plane may drop/duplicate/delay it like any other.
-    const Time now = queue_.now();
-    const Time read_done = channels_[m.src]->access(now, len);
-    const std::uint64_t gen = generation_;
-    const NodeId src = m.src;
-    const NodeId dst = m.dst;
-    queue_.schedule_at(read_done, [this, gen, chunk, src, dst, len] {
-        if (generation_ != gen) {
-            return;  // migration ended while the read was in flight
-        }
-        network_.send_message(net::EndpointAddr::mem_node(src),
-                              net::EndpointAddr::mem_node(dst), len,
-                              [this, gen, chunk] {
-                                  on_chunk_delivered(gen, chunk);
-                              });
-    });
-    arm_rto(chunk);
-}
-
-void
-MigrationEngine::on_chunk_delivered(std::uint64_t generation,
-                                    std::size_t chunk)
-{
-    if (generation != generation_ || !active_) {
-        return;  // stale copy of a finished migration
-    }
-    Active& m = *active_;
-    // The destination DMA engine writes the chunk into the reserved
-    // backing (timed only — the authoritative bytes are copied in one
-    // atomic event at cutover, so chunks overwritten by racing stores
-    // after they were copied can never leak stale data). Duplicate
-    // deliveries re-ack: the previous ack may have been lost.
-    channels_[m.dst]->access(queue_.now(), chunk_length(chunk));
-    network_.send_message(
-        net::EndpointAddr::mem_node(m.dst),
-        net::EndpointAddr::mem_node(m.src), kAckBytes,
-        [this, generation, chunk] { on_ack(generation, chunk); });
-}
-
-void
-MigrationEngine::on_ack(std::uint64_t generation, std::size_t chunk)
-{
-    if (generation != generation_ || !active_) {
-        return;
-    }
-    Active& m = *active_;
-    if (m.acked[chunk]) {
-        return;  // duplicate ack
-    }
-    m.acked[chunk] = true;
-    m.acked_count++;
-    if (m.acked_count == m.acked.size()) {
-        cutover();
-        return;
-    }
-    if (m.next_unsent < m.acked.size()) {
-        send_chunk(m.next_unsent++, /*retransmit=*/false);
-    }
-}
-
-void
-MigrationEngine::arm_rto(std::size_t chunk)
-{
-    const std::uint64_t gen = generation_;
-    queue_.schedule_after(config_.copy_rto, [this, gen, chunk] {
-        if (generation_ != gen || !active_ || active_->acked[chunk]) {
-            return;
-        }
-        if (++active_->retries > config_.copy_max_retries) {
-            abort();
-            return;
-        }
-        send_chunk(chunk, /*retransmit=*/true);
-    });
-}
-
-void
-MigrationEngine::cutover()
-{
-    Active m = std::move(*active_);
-    active_.reset();
-    generation_++;  // quench copy-phase timers and stragglers
-
-    // Functional copy in the same event: the placement-aware read pulls
-    // the authoritative bytes from the current owner, so every store
-    // that landed during the copy phase is included. This bumps the
-    // destination's mutation counter, which automatically degrades the
-    // golden oracle to weak checks for operations in flight across the
-    // cutover.
-    std::vector<std::uint8_t> bytes(m.length);
-    memory_.read(m.va_base, bytes.data(), m.length);
-    memory_.node(m.dst).write(m.dst_phys, bytes.data(), m.length);
-
-    // Flip ownership: AddressMap overlay first (the authority), then
-    // the switch overlay and TCAMs are derived from it, so the route-
-    // agreement audit always sees the three in lockstep.
-    mem::AddressMap& map = memory_.mutable_address_map();
-    const NodeId home = *map.home_node_for(m.va_base);
-    if (m.dst == home && m.dst_phys == map.offset_in_region(m.va_base)) {
-        // Moved back into its home frame: the overlay dissolves.
-        map.clear_remap(m.va_base, m.length);
-    } else {
-        const bool remapped = map.install_remap(mem::Remap{
-            m.va_base, m.length, m.dst, m.dst_phys});
-        PULSE_ASSERT(remapped, "cutover remap rejected");
+    const core::TransferResult result =
+        ownership_.transfer_ownership(core::OwnershipTransfer{
+            span.va_base, span.length, span.src, span.dst, span.dst_phys,
+            /*cutover=*/true});
+    if (result.remapped) {
         stats_.remaps_installed.increment();
     }
-    net::SwitchTable& table = network_.switch_table();
-    table.clear_overlay();
-    for (const mem::Remap& r : map.remaps()) {
-        table.add_overlay_rule(net::SwitchRule{r.va_base, r.length,
-                                               r.node});
-    }
-    const bool punched = tcams_[m.src]->punch(m.va_base, m.length);
-    PULSE_ASSERT(punched, "pre-checked source TCAM punch failed");
-    const bool installed = tcams_[m.dst]->insert_coalesce(mem::RangeEntry{
-        m.va_base, m.length, m.dst_phys, mem::Perm::kReadWrite});
-    PULSE_ASSERT(installed, "pre-checked dest TCAM insert failed");
-
-    // The reconfiguration message also carries the source's replay
-    // digest: retransmitted requests now route to the destination, so
-    // its dedup window must recognise visits the source already
-    // executed — otherwise a lost response plus a retransmit chasing
-    // the migrated slab would re-execute a store/CAS.
-    if (on_cutover_) {
-        on_cutover_(m.src, m.dst, m.va_base, m.length);
-    }
-
-    // RETIRE the vacated backing into the allocator's free list so a
-    // later migration (possibly back here) reuses the address range.
-    allocator_.free_backing(m.src, m.src_phys, m.length);
-
+    stats_.replay_entries_handed_off.increment(result.digest_entries);
     stats_.completed.increment();
-    if (m.on_done) {
-        m.on_done(true);
-    }
-}
-
-void
-MigrationEngine::abort()
-{
-    Active m = std::move(*active_);
-    active_.reset();
-    generation_++;
-    allocator_.free_backing(m.dst, m.dst_phys, m.length);
-    stats_.aborted.increment();
-    if (m.on_done) {
-        m.on_done(false);
-    }
 }
 
 }  // namespace pulse::placement

@@ -7,38 +7,30 @@
  *   PLAN -> COPY -> DUAL -> CUTOVER -> RETIRE
  *
  * PLAN reserves destination backing from the allocator's free list /
- * bump frontier and pre-checks both TCAMs (source punchable, room at
- * the destination). COPY streams the slab in chunks over the simulated
- * network with a selective-repeat window — each chunk pays DRAM channel
- * occupancy at both ends and link time in between, and is acked by the
- * destination; the fault plane may drop, duplicate, corrupt-deliver or
- * reorder any of it, so unacked chunks retransmit on a timeout and the
- * migration aborts (freeing the reserved backing) after too many
- * retries. CUTOVER is a single atomic event: the authoritative bytes
- * are copied functionally (the timed copy only modelled the cost),
- * the AddressMap remap overlay + switch overlay rule + destination
- * TCAM entry are installed, the source TCAM entry is punched, and the
- * vacated source backing returns to the allocator. DUAL is the window
+ * bump frontier and pre-checks both TCAMs through the ownership
+ * authority, so cutover can never half-fail. COPY streams the slab with
+ * the shared SpanCopier (core/transfer.h); an aborted copy frees the
+ * reserved backing. CUTOVER is a single atomic event: the copier lands
+ * the authoritative bytes, then transfer_ownership flips the AddressMap,
+ * switch overlay and TCAMs, hands the source's replay digest to the
+ * destination and RETIREs the vacated source frame. DUAL is the window
  * where traversals that loaded before cutover store after it: the
- * source TCAM now misses, and the accelerator forwards the write to
- * the new owner through the placement plane instead of faulting.
- * RETIRE is implicit: overlays persist until a later migration
- * supersedes them.
+ * source TCAM now misses, and the accelerator forwards the write to the
+ * new owner through the placement plane instead of faulting. Overlays
+ * persist until a later migration supersedes them.
  */
 #ifndef PULSE_PLACEMENT_MIGRATION_H
 #define PULSE_PLACEMENT_MIGRATION_H
 
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "common/stats.h"
+#include "core/transfer.h"
 #include "mem/allocator.h"
 #include "mem/global_memory.h"
 #include "mem/memory_channel.h"
-#include "mem/range_tcam.h"
 #include "net/network.h"
-#include "placement/placement_config.h"
 #include "sim/event_queue.h"
 
 namespace pulse::placement {
@@ -53,6 +45,7 @@ struct MigrationStats
     Counter chunks_sent;
     Counter chunks_retransmitted;  ///< losses/timeouts on copy traffic
     Counter remaps_installed;      ///< cutovers that left an overlay
+    Counter replay_entries_handed_off;  ///< dedup state moved at cutover
 };
 
 /** Executes one live slab migration at a time. */
@@ -62,12 +55,12 @@ class MigrationEngine
     MigrationEngine(sim::EventQueue& queue, net::Network& network,
                     mem::GlobalMemory& memory,
                     mem::ClusterAllocator& allocator,
-                    std::vector<mem::RangeTcam*> tcams,
+                    core::OwnershipAuthority& ownership,
                     std::vector<mem::ChannelSet*> channels,
-                    const PlacementConfig& config);
+                    const core::CopyConfig& copy);
 
     /** A migration is currently in its copy phase. */
-    bool active() const { return active_.has_value(); }
+    bool active() const { return copier_.active(); }
 
     /**
      * Begin migrating [@p va_base, @p va_base + @p length) to
@@ -83,58 +76,14 @@ class MigrationEngine
     const MigrationStats& stats() const { return stats_; }
     void reset_stats() { stats_ = MigrationStats{}; }
 
-    /**
-     * Invoked inside the cutover event, after routing flips, with the
-     * (src, dst) nodes and the migrated span. The placement plane uses
-     * it to hand the source accelerator's replay-window digest to the
-     * destination — the exactly-once domain moves with the data — and
-     * forwards the span to the replication plane (when present) so
-     * replica bookkeeping can follow ownership changes.
-     */
-    void set_cutover_listener(
-        std::function<void(NodeId, NodeId, VirtAddr, Bytes)> fn)
-    {
-        on_cutover_ = std::move(fn);
-    }
-
   private:
-    struct Active
-    {
-        VirtAddr va_base = 0;
-        Bytes length = 0;
-        NodeId src = kInvalidNode;
-        NodeId dst = kInvalidNode;
-        Bytes src_phys = 0;
-        Bytes dst_phys = 0;
-        std::vector<bool> acked;     // per chunk
-        std::size_t next_unsent = 0; // chunk index
-        std::size_t acked_count = 0;
-        std::uint32_t retries = 0;
-        std::function<void(bool)> on_done;
-    };
+    void cutover(const core::CopySpan& span);
 
-    Bytes chunk_offset(std::size_t chunk) const;
-    Bytes chunk_length(std::size_t chunk) const;
-    void send_chunk(std::size_t chunk, bool retransmit);
-    void on_chunk_delivered(std::uint64_t generation, std::size_t chunk);
-    void on_ack(std::uint64_t generation, std::size_t chunk);
-    void arm_rto(std::size_t chunk);
-    void cutover();
-    void abort();
-
-    sim::EventQueue& queue_;
-    net::Network& network_;
     mem::GlobalMemory& memory_;
     mem::ClusterAllocator& allocator_;
-    std::vector<mem::RangeTcam*> tcams_;
-    std::vector<mem::ChannelSet*> channels_;
-    PlacementConfig config_;
-    std::function<void(NodeId, NodeId, VirtAddr, Bytes)> on_cutover_;
-    std::optional<Active> active_;
-    /** Bumped whenever a migration ends; stale timers/acks from a
-     *  finished migration check it and become no-ops. */
-    std::uint64_t generation_ = 0;
+    core::OwnershipAuthority& ownership_;
     MigrationStats stats_;
+    core::SpanCopier copier_;
 };
 
 }  // namespace pulse::placement

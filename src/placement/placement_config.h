@@ -74,23 +74,6 @@ struct PlacementConfig
     /** Cap on migrations queued by one planning round. */
     std::uint32_t max_migrations_per_epoch = 16;
 
-    /** Copy-phase transfer granularity over the network. */
-    Bytes copy_chunk_bytes = 16 * kKiB;
-
-    /** Copy-phase chunks kept in flight (selective repeat window). */
-    std::uint32_t copy_window = 4;
-
-    /** Retransmit timeout for an unacked copy chunk (fault plane can
-     *  drop/duplicate/reorder the copy traffic like any message).
-     *  Generous: a migration source is by definition a congested node,
-     *  so its channel queue alone can delay a chunk tens of
-     *  microseconds — a tight RTO would retransmit every chunk. */
-    Time copy_rto = micros(50.0);
-
-    /** Total chunk retransmissions before the migration aborts and
-     *  frees its reserved destination backing. */
-    std::uint32_t copy_max_retries = 32;
-
     bool enabled() const { return mode != PlacementMode::kOff; }
 
     /**

@@ -10,13 +10,14 @@ PlacementPlane::PlacementPlane(sim::EventQueue& queue,
                                net::Network& network,
                                mem::GlobalMemory& memory,
                                mem::ClusterAllocator& allocator,
-                               std::vector<mem::RangeTcam*> tcams,
+                               core::OwnershipAuthority& ownership,
                                std::vector<mem::ChannelSet*> channels,
+                               const core::CopyConfig& copy,
                                const PlacementConfig& config)
     : queue_(queue), memory_(memory), channels_(channels),
       config_(config), hotness_(memory.address_map(), config),
-      engine_(queue, network, memory, allocator, std::move(tcams),
-              std::move(channels), config)
+      engine_(queue, network, memory, allocator, ownership,
+              std::move(channels), copy)
 {
     PULSE_ASSERT(config_.enabled(),
                  "constructing a placement plane in off mode");
@@ -28,19 +29,6 @@ PlacementPlane::attach_replay_windows(
     std::vector<accel::ReplayWindow*> windows)
 {
     replay_windows_ = std::move(windows);
-    engine_.set_cutover_listener([this](NodeId src, NodeId dst,
-                                        VirtAddr va_base, Bytes length) {
-        if (src < replay_windows_.size() &&
-            dst < replay_windows_.size()) {
-            const std::size_t copied =
-                replay_windows_[dst]->absorb_from(
-                    *replay_windows_[src]);
-            stats_.replay_entries_handed_off.increment(copied);
-        }
-        if (cutover_observer_) {
-            cutover_observer_(src, dst, va_base, length);
-        }
-    });
 }
 
 void
@@ -253,11 +241,11 @@ PlacementPlane::register_stats(const std::string& prefix,
                               &stats_.store_forwards);
     registry.register_counter(prefix + ".cas_forwards",
                               &stats_.cas_forwards);
-    registry.register_counter(prefix + ".replay_entries_handed_off",
-                              &stats_.replay_entries_handed_off);
     registry.register_counter(prefix + ".completions_mirrored",
                               &stats_.completions_mirrored);
     const MigrationStats& m = engine_.stats();
+    registry.register_counter(prefix + ".replay_entries_handed_off",
+                              &m.replay_entries_handed_off);
     registry.register_counter(prefix + ".migrations_started",
                               &m.started);
     registry.register_counter(prefix + ".migrations_completed",

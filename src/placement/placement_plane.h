@@ -45,7 +45,6 @@ struct PlacementStats
     Counter migrations_queued;
     Counter store_forwards;    ///< dual-residency writes applied
     Counter cas_forwards;      ///< dual-residency CAS applied
-    Counter replay_entries_handed_off;  ///< dedup state moved at cutover
     Counter completions_mirrored;  ///< handed-off visits updated later
 };
 
@@ -56,8 +55,9 @@ class PlacementPlane
     PlacementPlane(sim::EventQueue& queue, net::Network& network,
                    mem::GlobalMemory& memory,
                    mem::ClusterAllocator& allocator,
-                   std::vector<mem::RangeTcam*> tcams,
+                   core::OwnershipAuthority& ownership,
                    std::vector<mem::ChannelSet*> channels,
+                   const core::CopyConfig& copy,
                    const PlacementConfig& config);
 
     const PlacementConfig& config() const { return config_; }
@@ -65,25 +65,12 @@ class PlacementPlane
     /**
      * Wire up the per-node accelerator dedup windows (indexed by
      * node). At every migration cutover the destination window absorbs
-     * the source's entries, so the exactly-once guarantee survives the
-     * responder change: a retransmitted request that chases the
-     * migrated slab to its new owner replays the cached response
-     * instead of re-executing a store/CAS.
+     * the source's entries (core::OwnershipAuthority); the mirror
+     * hooks below keep those absorbed copies current while the visit
+     * finishes at the source.
      */
     void attach_replay_windows(
         std::vector<accel::ReplayWindow*> windows);
-
-    /**
-     * Observe every migration cutover: fires inside the cutover event,
-     * after routing flips and the digest handoff, with (src, dst,
-     * va_base, length). The cluster wires the replication plane in
-     * here so its mirror bookkeeping can note ownership changes.
-     */
-    void set_cutover_observer(
-        std::function<void(NodeId, NodeId, VirtAddr, Bytes)> fn)
-    {
-        cutover_observer_ = std::move(fn);
-    }
 
     /**
      * A visit absorbed at a cutover while still executing on @p from
@@ -159,8 +146,6 @@ class PlacementPlane
     HotnessTracker hotness_;
     MigrationEngine engine_;
     std::vector<accel::ReplayWindow*> replay_windows_;
-    std::function<void(NodeId, NodeId, VirtAddr, Bytes)>
-        cutover_observer_;
     std::deque<std::pair<VirtAddr, NodeId>> pending_;
     bool epoch_armed_ = false;
     PlacementStats stats_;

@@ -6,10 +6,11 @@
  * The plane keeps k copies of every allocated byte:
  *
  *   - **COPY**: a background scan discovers allocation growth per home
- *     node and establishes replicas with the migration engine's chunked
- *     selective-repeat protocol (timed chunks + acks over the fabric,
- *     RTO retransmits, abort on a dead link), finishing with one atomic
- *     functional copy so racing stores can never leak stale bytes.
+ *     node and establishes replicas with the shared SpanCopier
+ *     (core/transfer.h) that migration uses too: timed chunks + acks
+ *     over the fabric, RTO retransmits, abort on a dead link, finishing
+ *     with one atomic functional copy so racing stores can never leak
+ *     stale bytes.
  *   - **DUAL**: once a replica is live it is write-synchronous — every
  *     accelerator store/CAS success is mirrored into the replica
  *     backing (charging the replica node's DRAM channels), and every
@@ -21,9 +22,9 @@
  *     detector (src/net/heartbeat.h) that distinguishes a stall (late
  *     acks) from a blackout (no acks).
  *   - **FAILOVER**: declaring a node dead re-routes every span it
- *     owned to a surviving replica in one atomic event, via the same
- *     AddressMap-remap -> switch-overlay -> TCAM path a migration
- *     cutover uses, so the route-agreement audit always holds.
+ *     owned to a surviving replica in one atomic event, through the
+ *     same transfer_ownership a migration cutover uses, so the
+ *     route-agreement audit always holds.
  *   - **RE-REPLICATE**: the scan restores the replication factor on
  *     surviving nodes; notify_recovered() re-admits a healed node.
  *
@@ -36,7 +37,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,10 +44,10 @@
 #include "accel/replay_window.h"
 #include "common/random.h"
 #include "common/stats.h"
+#include "core/transfer.h"
 #include "mem/allocator.h"
 #include "mem/global_memory.h"
 #include "mem/memory_channel.h"
-#include "mem/range_tcam.h"
 #include "net/heartbeat.h"
 #include "net/network.h"
 #include "replication/replication_config.h"
@@ -98,8 +98,9 @@ class ReplicationPlane
     ReplicationPlane(sim::EventQueue& queue, net::Network& network,
                      mem::GlobalMemory& memory,
                      mem::ClusterAllocator& allocator,
-                     std::vector<mem::RangeTcam*> tcams,
+                     core::OwnershipAuthority& ownership,
                      std::vector<mem::ChannelSet*> channels,
+                     const core::CopyConfig& copy,
                      const ReplicationConfig& config);
 
     const ReplicationConfig& config() const { return config_; }
@@ -157,15 +158,13 @@ class ReplicationPlane
     void notify_recovered(NodeId node);
 
     /**
-     * A migration cutover moved [@p va_base, @p va_base + @p length)
-     * from @p src to @p dst (wired through the placement plane's
-     * cutover observer). Replica content is VA-indexed and mirrors
-     * resolve the owner per write, so no replica data moves — the
-     * plane just notes the ownership change and keeps its control
-     * loops armed while placement churn is ongoing.
+     * A migration cutover moved a span to another owner (the ownership
+     * authority's cutover observer). Replica content is VA-indexed and
+     * mirrors resolve the owner on every write, so nothing moves here:
+     * the plane counts the cutover and keeps its control loops armed
+     * while placement churn is ongoing.
      */
-    void notify_cutover(NodeId src, NodeId dst, VirtAddr va_base,
-                        Bytes length);
+    void notify_cutover();
 
     // -- introspection ------------------------------------------------
 
@@ -192,7 +191,7 @@ class ReplicationPlane
     /** A replica copy is running or copies are queued. */
     bool busy() const
     {
-        return active_.has_value() || !pending_.empty();
+        return copier_.active() || !pending_.empty();
     }
 
     const ReplicationStats& stats() const { return stats_; }
@@ -223,21 +222,6 @@ class ReplicationPlane
         std::vector<Replica> replicas;
     };
 
-    /** The copy protocol's in-flight state (one copy at a time). */
-    struct ActiveCopy
-    {
-        std::size_t extent = 0;   ///< index into extents_
-        Bytes length = 0;
-        NodeId src = kInvalidNode;
-        NodeId dst = kInvalidNode;
-        Bytes dst_phys = 0;
-        bool rereplication = false;
-        std::vector<bool> acked;
-        std::size_t next_unsent = 0;
-        std::size_t acked_count = 0;
-        std::uint32_t retries = 0;
-    };
-
     // control loops
     void arm_scan();
     void on_scan();
@@ -247,16 +231,8 @@ class ReplicationPlane
     void arm_probe();
     void on_probe_round();
 
-    // copy protocol (the migration engine's COPY phase, re-targeted)
-    Bytes chunk_offset(std::size_t chunk) const;
-    Bytes chunk_length(std::size_t chunk) const;
-    void send_chunk(std::size_t chunk, bool retransmit);
-    void on_chunk_delivered(std::uint64_t generation,
-                            std::size_t chunk);
-    void on_copy_ack(std::uint64_t generation, std::size_t chunk);
-    void arm_rto(std::size_t chunk);
-    void finish_copy();
-    void abort_copy();
+    void finish_copy(std::size_t extent, const core::CopySpan& span,
+                     bool copied);
 
     // failover
     void execute_failover(NodeId dead);
@@ -270,7 +246,7 @@ class ReplicationPlane
     net::Network& network_;
     mem::GlobalMemory& memory_;
     mem::ClusterAllocator& allocator_;
-    std::vector<mem::RangeTcam*> tcams_;
+    core::OwnershipAuthority& ownership_;
     std::vector<mem::ChannelSet*> channels_;
     ReplicationConfig config_;
     Rng rng_;
@@ -282,9 +258,6 @@ class ReplicationPlane
     std::vector<Bytes> covered_;
     /** Queued copies: (extent index, target node). */
     std::deque<std::pair<std::size_t, NodeId>> pending_;
-    std::optional<ActiveCopy> active_;
-    /** Bumped when a copy ends; stale timers/acks become no-ops. */
-    std::uint64_t generation_ = 0;
 
     bool scan_armed_ = false;
     bool probe_armed_ = false;
@@ -294,6 +267,7 @@ class ReplicationPlane
     std::vector<FailoverRecord> failover_log_;
     Time last_restore_time_ = 0;
     ReplicationStats stats_;
+    core::SpanCopier copier_;
 };
 
 }  // namespace pulse::replication

@@ -22,29 +22,18 @@ namespace {
 
 constexpr Bytes kSlab = 64 * kKiB;
 
-placement::PlacementConfig
-engine_config()
-{
-    PlacementConfig config;
-    config.mode = PlacementMode::kElastic;
-    config.slab_bytes = kSlab;
-    return config;
-}
-
 MigrationEngine
-make_engine(core::Cluster& cluster, const PlacementConfig& config)
+make_engine(core::Cluster& cluster, const core::CopyConfig& copy = {})
 {
-    std::vector<mem::RangeTcam*> tcams;
     std::vector<mem::ChannelSet*> channels;
     for (NodeId node = 0; node < cluster.memory().num_nodes();
          node++) {
-        tcams.push_back(&cluster.accelerator(node).tcam());
         channels.push_back(&cluster.channels(node));
     }
     return MigrationEngine(cluster.queue(), cluster.network(),
                            cluster.memory(), cluster.allocator(),
-                           std::move(tcams), std::move(channels),
-                           config);
+                           cluster.ownership(), std::move(channels),
+                           copy);
 }
 
 std::vector<std::uint8_t>
@@ -63,7 +52,7 @@ TEST(MigrationEngine, MigratesSlabAndBackCoherently)
     config.num_mem_nodes = 2;
     config.check.invariants = true;
     core::Cluster cluster(config);
-    MigrationEngine engine = make_engine(cluster, engine_config());
+    MigrationEngine engine = make_engine(cluster);
 
     const VirtAddr va = cluster.allocator().alloc_on(0, kSlab, kSlab);
     ASSERT_NE(va, kNullAddr);
@@ -156,7 +145,7 @@ TEST(MigrationEngine, RejectsIneligibleStarts)
     core::ClusterConfig config;
     config.num_mem_nodes = 2;
     core::Cluster cluster(config);
-    MigrationEngine engine = make_engine(cluster, engine_config());
+    MigrationEngine engine = make_engine(cluster);
     const mem::AddressMap& map = cluster.memory().address_map();
 
     const VirtAddr backed = cluster.allocator().alloc_on(0, kSlab, kSlab);
@@ -184,10 +173,10 @@ TEST(MigrationEngine, AbortsOnDeadLinkAndFreesBacking)
     config.num_mem_nodes = 2;
     config.faults.links.loss = 1.0;  // every copy chunk and ack dies
     core::Cluster cluster(config);
-    PlacementConfig pconfig = engine_config();
-    pconfig.copy_rto = micros(2.0);
-    pconfig.copy_max_retries = 3;
-    MigrationEngine engine = make_engine(cluster, pconfig);
+    core::CopyConfig copy;
+    copy.rto = micros(2.0);
+    copy.max_retries = 3;
+    MigrationEngine engine = make_engine(cluster, copy);
 
     const VirtAddr va = cluster.allocator().alloc_on(0, kSlab, kSlab);
     ASSERT_NE(va, kNullAddr);
@@ -216,6 +205,46 @@ TEST(MigrationEngine, AbortsOnDeadLinkAndFreesBacking)
               mem::TranslateStatus::kOk);
     EXPECT_EQ(cluster.allocator().free_list_bytes(1), kSlab);
     EXPECT_EQ(cluster.allocator().free_list_bytes(0), 0u);
+}
+
+TEST(MigrationEngine, StraddlingSlabRetiresOnlyApplicationBytes)
+{
+    // A home slab can straddle its node's application frontier; the
+    // bytes past the frontier are backing reserved for someone else
+    // (a replica, a slab migrated in). Migrating the slab away must
+    // retire only the application bytes below the frontier.
+    core::ClusterConfig config;
+    config.num_mem_nodes = 2;
+    core::Cluster cluster(config);
+    MigrationEngine engine = make_engine(cluster);
+    mem::ClusterAllocator& allocator = cluster.allocator();
+
+    constexpr Bytes kApp = 4 * kKiB;
+    const VirtAddr va = allocator.alloc_on(0, kApp, kSlab);
+    ASSERT_NE(va, kNullAddr);
+    const Bytes reserved =
+        allocator.alloc_backing(0, kSlab - kApp, core::kBackingAlign);
+    ASSERT_EQ(reserved, kApp);  // right past the frontier
+    ASSERT_EQ(allocator.allocated_on(0), kSlab);  // slab fully backed
+
+    bool success = false;
+    ASSERT_TRUE(engine.start(va, kSlab, 1,
+                             [&](bool migrated) { success = migrated; }));
+    cluster.queue().run();
+    ASSERT_TRUE(success);
+    EXPECT_EQ(allocator.free_list_bytes(0), kApp);
+
+    // Later reservations never overlap the live one, and freeing it is
+    // not a double free.
+    for (int i = 0; i < 4; i++) {
+        const Bytes phys =
+            allocator.alloc_backing(0, 16 * kKiB, core::kBackingAlign);
+        ASSERT_NE(phys, mem::ClusterAllocator::kNoBacking);
+        EXPECT_TRUE(phys + 16 * kKiB <= reserved ||
+                    phys >= reserved + (kSlab - kApp))
+            << "backing at " << phys << " overlaps the reservation";
+    }
+    allocator.free_backing(0, reserved, kSlab - kApp);
 }
 
 isa::Program
@@ -248,8 +277,8 @@ run_elastic_cas_soak(core::ClusterConfig config, int total,
     config.placement.slab_bytes = kSlab;
     config.placement.epoch = micros(5.0);
     config.placement.trigger_imbalance = 1.1;
-    config.placement.copy_rto = micros(10.0);
-    config.placement.copy_max_retries = 64;
+    config.copy.rto = micros(10.0);
+    config.copy.max_retries = 64;
     core::Cluster cluster(config);
 
     // Two hot slabs on node 0 (a single slab is never migrated: moving
