@@ -1,8 +1,8 @@
 #include "accel/accelerator.h"
 
 #include <algorithm>
+#include <optional>
 
-#include "common/env_knobs.h"
 #include "common/logging.h"
 #include "serve/qos.h"
 
@@ -17,8 +17,7 @@ Accelerator::Accelerator(sim::EventQueue& queue, net::Network& network,
     : queue_(queue), network_(network), memory_(memory),
       channels_(channels), node_(node), config_(config),
       tcam_(config.tcam_entries), pending_(config.sched_policy),
-      replay_(config.replay_window_entries),
-      pooling_(pooling_enabled())
+      replay_(config.replay_window_entries)
 {
     PULSE_ASSERT(config.num_cores > 0, "accelerator needs cores");
     PULSE_ASSERT(config.eta_pipelines > 0, "eta must be >= 1");
@@ -26,47 +25,43 @@ Accelerator::Accelerator(sim::EventQueue& queue, net::Network& network,
     // iteration instead of rebuilding a closure (see header).
     cas_fn_ = [this](std::uint64_t mem_off, std::uint64_t expected,
                      std::uint64_t desired) {
-        const auto translated = tcam_.translate_span(
-            cas_base_ + mem_off, 8, mem::Perm::kReadWrite);
-        if (translated.status != mem::TranslateStatus::kOk) {
+        const VirtAddr va = cas_base_ + mem_off;
+        const auto translated =
+            tcam_.translate_span(va, 8, mem::Perm::kReadWrite);
+        bool swapped = false;
+        if (translated.status == mem::TranslateStatus::kOk) {
+            channels_.access(queue_.now(), 8);
+            swapped = memory_.node(node_).read_as<std::uint64_t>(
+                          translated.phys) == expected;
+            if (swapped) {
+                memory_.node(node_).write_as<std::uint64_t>(
+                    translated.phys, desired);
+            }
+        } else {
             // Dual-residency window: the slab migrated after this
             // iteration's load; apply the CAS at the current owner.
+            std::optional<bool> forwarded;
             if (translated.status == mem::TranslateStatus::kMiss &&
                 placement_ != nullptr) {
-                const auto forwarded = placement_->try_forward_cas(
-                    node_, cas_base_ + mem_off, expected, desired,
-                    queue_.now());
-                if (forwarded.has_value()) {
-                    if (*forwarded) {
-                        stats_.cas_ops.increment();
-                        if (replication_ != nullptr) {
-                            replication_->mirror_cas(
-                                node_, cas_base_ + mem_off, desired,
-                                queue_.now());
-                        }
-                    }
-                    return *forwarded;
-                }
+                forwarded = placement_->try_forward_cas(
+                    node_, va, expected, desired, queue_.now());
             }
-            cas_fault_ = true;
-            return false;
+            if (!forwarded.has_value()) {
+                cas_fault_ = true;
+                return false;
+            }
+            swapped = *forwarded;
         }
-        channels_.access(queue_.now(), 8);
-        const std::uint64_t current =
-            memory_.node(node_).read_as<std::uint64_t>(translated.phys);
-        if (current != expected) {
-            return false;
+        if (swapped) {
+            stats_.cas_ops.increment();
+            if (replication_ != nullptr) {
+                // Synchronous replication channel: the winning value
+                // is applied to every live replica in the same event.
+                replication_->mirror_cas(node_, va, desired,
+                                         queue_.now());
+            }
         }
-        memory_.node(node_).write_as<std::uint64_t>(translated.phys,
-                                                    desired);
-        stats_.cas_ops.increment();
-        if (replication_ != nullptr) {
-            // Synchronous replication channel: the winning value is
-            // applied to every live replica in the same event.
-            replication_->mirror_cas(node_, cas_base_ + mem_off,
-                                     desired, queue_.now());
-        }
-        return true;
+        return swapped;
     };
     cores_.resize(config.num_cores);
     for (Core& core : cores_) {
@@ -159,9 +154,33 @@ Accelerator::acquire_context()
 void
 Accelerator::release_context(std::unique_ptr<Context> context)
 {
-    if (pooling_) {
-        context_pool_.push_back(std::move(context));
+    context_pool_.push_back(std::move(context));
+}
+
+bool
+Accelerator::commit_store(VirtAddr va, const std::uint8_t* data,
+                          Bytes length, Time at)
+{
+    const auto translated =
+        tcam_.translate_span(va, length, mem::Perm::kWrite);
+    // A TCAM miss is the dual-residency window: a cutover raced this
+    // iteration (its load translated here before the slab moved), so
+    // the placement plane applies the write at the current owner —
+    // never a spurious fault, never stale bytes.
+    if (translated.status == mem::TranslateStatus::kOk) {
+        channels_.access(at, length);
+        memory_.node(node_).write(translated.phys, data, length);
+    } else if (translated.status != mem::TranslateStatus::kMiss ||
+               placement_ == nullptr ||
+               !placement_->try_forward_store(node_, va, data, length,
+                                              at)) {
+        return false;
     }
+    stats_.stores.increment();
+    if (replication_ != nullptr) {
+        replication_->mirror_store(node_, va, data, length, at);
+    }
+    return true;
 }
 
 const isa::ProgramAnalysis*
@@ -643,42 +662,12 @@ Accelerator::start_logic_phase(CoreId core_id, WorkspaceId ws,
     bool store_fault = false;
     const VirtAddr iter_ptr = context.packet.cur_ptr;
     for (const isa::PendingStore& st : iter.stores) {
-        const auto translated = tcam_.translate_span(
-            iter_ptr + st.mem_offset, st.length, mem::Perm::kWrite);
-        if (translated.status != mem::TranslateStatus::kOk) {
-            // Dual-residency window: a cutover raced this iteration
-            // (its load translated here before the slab moved). The
-            // write is applied at the current owner via the placement
-            // plane — never a spurious fault, never stale bytes.
-            if (translated.status == mem::TranslateStatus::kMiss &&
-                placement_ != nullptr &&
-                placement_->try_forward_store(
-                    node_, iter_ptr + st.mem_offset,
-                    context.workspace.data.data() + st.data_offset,
-                    st.length, done)) {
-                stats_.stores.increment();
-                if (replication_ != nullptr) {
-                    replication_->mirror_store(
-                        node_, iter_ptr + st.mem_offset,
-                        context.workspace.data.data() + st.data_offset,
-                        st.length, done);
-                }
-                continue;
-            }
+        if (!commit_store(iter_ptr + st.mem_offset,
+                          context.workspace.data.data() + st.data_offset,
+                          st.length, done)) {
             stats_.protection_faults.increment();
             store_fault = true;
             break;
-        }
-        channels_.access(done, st.length);
-        memory_.node(node_).write(
-            translated.phys,
-            context.workspace.data.data() + st.data_offset, st.length);
-        stats_.stores.increment();
-        if (replication_ != nullptr) {
-            replication_->mirror_store(
-                node_, iter_ptr + st.mem_offset,
-                context.workspace.data.data() + st.data_offset,
-                st.length, done);
         }
     }
 

@@ -245,8 +245,18 @@ class Accelerator
      */
     std::unique_ptr<Context> acquire_context();
 
-    /** Return a finished context to the pool (frees it if pooling off). */
+    /** Return a finished context to the pool. */
     void release_context(std::unique_ptr<Context> context);
+
+    /**
+     * Commit one STORE write-back of @p length bytes at @p va: write
+     * it through the local TCAM, or forward it to the slab's current
+     * owner through the placement plane, then mirror it to the
+     * replicas. Returns false when neither path applies it (a
+     * protection fault).
+     */
+    bool commit_store(VirtAddr va, const std::uint8_t* data,
+                      Bytes length, Time at);
 
     void on_packet(net::TraversalPacket&& packet);
     void admit(net::TraversalPacket&& packet);
@@ -309,11 +319,9 @@ class Accelerator
     /**
      * Context freelist: finished visits park their Context here instead
      * of freeing it, so the dispatch hot path stops allocating once the
-     * pool is warm. Disabled (acquire news, release frees) when
-     * PULSE_POOLING=off.
+     * pool is warm.
      */
     std::vector<std::unique_ptr<Context>> context_pool_;
-    bool pooling_ = true;
     std::uint64_t contexts_created_ = 0;
     std::uint64_t contexts_reused_ = 0;
     /**

@@ -9,7 +9,7 @@
  *                               equal on restore so a snapshot can only
  *                               be applied to an identically-built rack
  *   event queue quiesce state — clock + schedule/execute counters
- *   network                   — switch tables, ports, loss RNG, flow
+ *   network                   — switch tables, ports, flow accounting
  *   global memory             — committed chunks of every node
  *   allocator                 — bump frontiers, free lists, RNG
  *   per-node channel sets     — busy-until + bandwidth counters
@@ -33,7 +33,8 @@
 namespace pulse::core {
 namespace {
 
-constexpr std::uint32_t kCheckpointVersion = 1;
+// Version 2: the network section no longer carries a loss RNG.
+constexpr std::uint32_t kCheckpointVersion = 2;
 
 void
 put_fingerprint(StateWriter& writer, const ClusterConfig& config)

@@ -201,8 +201,10 @@ OwnershipAuthority::transfer_ownership(const OwnershipTransfer& t)
     // are derived from it.
     TransferResult result;
     if (t.to == home && t.to_phys == home_phys) {
-        // Moved back into its home frame: the overlay dissolves.
+        // Moved back into its home frame: the overlay dissolves, and
+        // the frame holds application data again rather than backing.
         map.clear_remap(t.va_base, t.length);
+        allocator_.unreserve(t.to, t.to_phys, t.length);
     } else {
         const bool remapped = map.install_remap(
             mem::Remap{t.va_base, t.length, t.to, t.to_phys});
@@ -232,15 +234,15 @@ OwnershipAuthority::transfer_ownership(const OwnershipTransfer& t)
         replay_windows_[t.to]->absorb_from(*replay_windows_[t.from]);
 
     // RETIRE the vacated frame so a later transfer (possibly back here)
-    // reuses it. A home frame may straddle the node's application
-    // frontier: the bytes past it are backing reserved for other spans
-    // (replicas, slabs migrated in), which stay theirs.
-    Bytes end = vacated.phys + t.length;
+    // reuses it. A frame away from home is one backing reservation. A
+    // home frame returns only its own allocated bytes: backing reserved
+    // for other spans (replicas, slabs migrated in) may lie inside it,
+    // past the application frontier or, when the application allocated
+    // again afterwards, below it.
     if (t.from == home && vacated.phys == home_phys) {
-        end = std::min(end, allocator_.app_allocated_on(t.from));
-    }
-    if (end > vacated.phys) {
-        allocator_.free_backing(t.from, vacated.phys, end - vacated.phys);
+        allocator_.free_unreserved(t.from, vacated.phys, t.length);
+    } else {
+        allocator_.free_backing(t.from, vacated.phys, t.length);
     }
 
     if (cutover_observer_) {

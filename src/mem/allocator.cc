@@ -23,7 +23,8 @@ ClusterAllocator::ClusterAllocator(const AddressMap& map,
                                    Bytes uniform_chunk_bytes)
     : map_(map), policy_(policy), rng_(seed),
       chunk_bytes_(uniform_chunk_bytes), bump_(map.num_nodes(), 0),
-      app_high_(map.num_nodes(), 0), free_lists_(map.num_nodes())
+      app_high_(map.num_nodes(), 0), free_lists_(map.num_nodes()),
+      reserved_(map.num_nodes())
 {
 }
 
@@ -143,8 +144,9 @@ ClusterAllocator::alloc_backing(NodeId node, Bytes size, Bytes align)
         } else {
             const Bytes tail_offset = start + size;
             it->size = waste;
-            holes.insert(it + 1, FreeRange{tail_offset, tail});
+            holes.insert(it + 1, Range{tail_offset, tail});
         }
+        reserve(node, start, size);
         return start;
     }
     // Fall back to the bump frontier.
@@ -153,11 +155,88 @@ ClusterAllocator::alloc_backing(NodeId node, Bytes size, Bytes align)
         return kNoBacking;
     }
     bump_[node] = start + size;
+    reserve(node, start, size);
     return start;
 }
 
 void
+ClusterAllocator::reserve(NodeId node, Bytes offset, Bytes size)
+{
+    auto& live = reserved_[node];
+    live.insert(std::lower_bound(live.begin(), live.end(), offset,
+                                 [](const Range& r, Bytes o) {
+                                     return r.offset < o;
+                                 }),
+                Range{offset, size});
+}
+
+void
+ClusterAllocator::unreserve(NodeId node, Bytes offset, Bytes size)
+{
+    PULSE_ASSERT(node < reserved_.size(), "bad node id %u", node);
+    auto& live = reserved_[node];
+    const Bytes end = offset + size;
+    for (std::size_t i = 0; i < live.size() && live[i].offset < end;) {
+        const Range r = live[i];
+        const Bytes r_end = r.offset + r.size;
+        if (r_end <= offset) {
+            i++;
+            continue;
+        }
+        // Keep whatever part of the reservation lies outside the range.
+        live.erase(live.begin() + i);
+        if (r_end > end) {
+            live.insert(live.begin() + i, Range{end, r_end - end});
+        }
+        if (r.offset < offset) {
+            live.insert(live.begin() + i,
+                        Range{r.offset, offset - r.offset});
+            i++;
+        }
+    }
+}
+
+void
 ClusterAllocator::free_backing(NodeId node, Bytes offset, Bytes size)
+{
+    unreserve(node, offset, size);
+    release(node, offset, size);
+}
+
+void
+ClusterAllocator::free_unreserved(NodeId node, Bytes offset, Bytes size)
+{
+    PULSE_ASSERT(node < bump_.size(), "bad node id %u", node);
+    // What inside the range is already spoken for, in offset order
+    // (reservations and free ranges never overlap each other); the
+    // copies stay valid while release() edits the free list.
+    const Bytes end = std::min(offset + size, bump_[node]);
+    std::vector<Range> taken;
+    for (const auto* ranges : {&reserved_[node], &free_lists_[node]}) {
+        for (const Range& r : *ranges) {
+            if (r.offset < end && r.offset + r.size > offset) {
+                taken.push_back(r);
+            }
+        }
+    }
+    std::sort(taken.begin(), taken.end(),
+              [](const Range& a, const Range& b) {
+                  return a.offset < b.offset;
+              });
+    Bytes cursor = offset;
+    for (const Range& r : taken) {
+        if (r.offset > cursor) {
+            release(node, cursor, r.offset - cursor);
+        }
+        cursor = std::max(cursor, r.offset + r.size);
+    }
+    if (cursor < end) {
+        release(node, cursor, end - cursor);
+    }
+}
+
+void
+ClusterAllocator::release(NodeId node, Bytes offset, Bytes size)
 {
     PULSE_ASSERT(node < bump_.size(), "bad node id %u", node);
     PULSE_ASSERT(size > 0, "zero-size backing free");
@@ -166,7 +245,7 @@ ClusterAllocator::free_backing(NodeId node, Bytes offset, Bytes size)
     auto& holes = free_lists_[node];
     auto pos = std::lower_bound(
         holes.begin(), holes.end(), offset,
-        [](const FreeRange& r, Bytes o) { return r.offset < o; });
+        [](const Range& r, Bytes o) { return r.offset < o; });
     PULSE_ASSERT(pos == holes.end() || offset + size <= pos->offset,
                  "double free of backing range");
     PULSE_ASSERT(pos == holes.begin() ||
@@ -188,7 +267,7 @@ ClusterAllocator::free_backing(NodeId node, Bytes offset, Bytes size)
         pos->offset = offset;
         pos->size += size;
     } else {
-        holes.insert(pos, FreeRange{offset, size});
+        holes.insert(pos, Range{offset, size});
     }
 }
 
@@ -197,7 +276,7 @@ ClusterAllocator::free_list_bytes(NodeId node) const
 {
     PULSE_ASSERT(node < free_lists_.size(), "bad node id %u", node);
     Bytes total = 0;
-    for (const FreeRange& r : free_lists_[node]) {
+    for (const Range& r : free_lists_[node]) {
         total += r.size;
     }
     return total;
@@ -207,6 +286,10 @@ void
 ClusterAllocator::save_state(StateWriter& writer) const
 {
     writer.put_tag("ALOC");
+    for (const auto& live : reserved_) {
+        PULSE_ASSERT(live.empty(), "checkpoint does not cover live "
+                                   "backing reservations");
+    }
     writer.put_u8(static_cast<std::uint8_t>(policy_));
     std::uint64_t rng_state[4];
     rng_.save_state(rng_state);
@@ -219,7 +302,7 @@ ClusterAllocator::save_state(StateWriter& writer) const
         writer.put_u64(bump_[i]);
         writer.put_u64(app_high_[i]);
         writer.put_u64(free_lists_[i].size());
-        for (const FreeRange& range : free_lists_[i]) {
+        for (const Range& range : free_lists_[i]) {
             writer.put_u64(range.offset);
             writer.put_u64(range.size);
         }
@@ -249,10 +332,11 @@ ClusterAllocator::load_state(StateReader& reader)
         bump_[i] = reader.get_u64();
         app_high_[i] = reader.get_u64();
         free_lists_[i].resize(reader.get_u64());
-        for (FreeRange& range : free_lists_[i]) {
+        for (Range& range : free_lists_[i]) {
             range.offset = reader.get_u64();
             range.size = reader.get_u64();
         }
+        reserved_[i].clear();
     }
     round_robin_ = reader.get_u32();
     chunk_next_ = reader.get_u64();

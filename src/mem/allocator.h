@@ -19,9 +19,11 @@
  * home and replication reserves each replica with alloc_backing, and
  * the ownership transfer (core/transfer.h) returns a vacated frame
  * with free_backing, so repeated rebalancing reuses addresses instead
- * of leaking the old ranges. A vacated home frame is returned only up
- * to the application frontier: the bytes past it are backing reserved
- * for other spans.
+ * of leaking the old ranges. The allocator records every live backing
+ * reservation, so a vacated home frame returns only its own bytes,
+ * never a range reserved for another span (a replica or a slab
+ * migrated in), even when a later alloc_on moved the application
+ * frontier past that reservation.
  */
 #ifndef PULSE_MEM_ALLOCATOR_H
 #define PULSE_MEM_ALLOCATOR_H
@@ -106,8 +108,25 @@ class ClusterAllocator
      * Return a backing range reserved by alloc_backing (or vacated by
      * migrating a slab off @p node) to the node's free list, merging
      * with adjacent free ranges so the space is reusable at full size.
+     * Whatever part of the range was reserved stops being reserved.
      */
     void free_backing(NodeId node, Bytes offset, Bytes size);
+
+    /**
+     * Return the allocated bytes of [@p offset, @p offset + @p size) on
+     * @p node (those below the bump frontier) that no live backing
+     * reservation covers and that are not already free: the retire of
+     * a vacated home frame, whose own bytes may interleave with backing
+     * reserved for other spans.
+     */
+    void free_unreserved(NodeId node, Bytes offset, Bytes size);
+
+    /**
+     * Drop the reservation of [@p offset, @p offset + @p size) on
+     * @p node without freeing it: a span that moved back into its home
+     * frame is application data again, not backing.
+     */
+    void unreserve(NodeId node, Bytes offset, Bytes size);
 
     /** Total bytes currently sitting in @p node's free list. */
     Bytes free_list_bytes(NodeId node) const;
@@ -117,12 +136,18 @@ class ClusterAllocator
     void load_state(StateReader& reader);
 
   private:
-    /** One reusable hole in a node's backing store. */
-    struct FreeRange
+    /** One byte range of a node's backing store. */
+    struct Range
     {
         Bytes offset = 0;
         Bytes size = 0;
     };
+
+    /** Record a live reservation (alloc_backing). */
+    void reserve(NodeId node, Bytes offset, Bytes size);
+
+    /** Put a range on the node's free list, merging neighbours. */
+    void release(NodeId node, Bytes offset, Bytes size);
 
     const AddressMap& map_;
     AllocPolicy policy_;
@@ -130,7 +155,9 @@ class ClusterAllocator
     Bytes chunk_bytes_;
     std::vector<Bytes> bump_;  // next free offset per node
     std::vector<Bytes> app_high_;  // frontier sans backing store
-    std::vector<std::vector<FreeRange>> free_lists_;  // sorted by offset
+    std::vector<std::vector<Range>> free_lists_;  // sorted by offset
+    /** Live alloc_backing reservations per node, sorted by offset. */
+    std::vector<std::vector<Range>> reserved_;
     NodeId round_robin_ = 0;
     VirtAddr chunk_next_ = kNullAddr;  // uniform-policy slab cursor
     VirtAddr chunk_end_ = kNullAddr;

@@ -18,7 +18,7 @@ location_of(EndpointAddr addr)
 }  // namespace
 
 Network::Network(sim::EventQueue& queue, const NetworkConfig& config)
-    : queue_(queue), config_(config), loss_rng_(config.seed)
+    : queue_(queue), config_(config)
 {
     PULSE_ASSERT(config.num_clients > 0, "network needs a client");
     PULSE_ASSERT(config.num_mem_nodes > 0, "network needs a memory node");
@@ -91,13 +91,6 @@ Network::DeliveryPlan
 Network::plan_delivery(EndpointAddr from, EndpointAddr to)
 {
     DeliveryPlan plan;
-    // Legacy uniform loss knob (independent of the fault plane).
-    if (config_.loss_probability > 0.0 &&
-        loss_rng_.next_bool(config_.loss_probability)) {
-        plan.drop = true;
-        dropped_++;
-        return plan;
-    }
     if (fault_plane_ == nullptr || !fault_plane_->enabled()) {
         return plan;
     }
@@ -323,11 +316,6 @@ void
 Network::save_state(StateWriter& writer) const
 {
     writer.put_tag("NETW");
-    std::uint64_t rng_state[4];
-    loss_rng_.save_state(rng_state);
-    for (const std::uint64_t word : rng_state) {
-        writer.put_u64(word);
-    }
     writer.put_u64(dropped_);
     writer.put_u64(routed_);
     writer.put_u64(checksum_drops_);
@@ -359,11 +347,6 @@ void
 Network::load_state(StateReader& reader)
 {
     reader.expect_tag("NETW");
-    std::uint64_t rng_state[4];
-    for (std::uint64_t& word : rng_state) {
-        word = reader.get_u64();
-    }
-    loss_rng_.restore_state(rng_state);
     dropped_ = reader.get_u64();
     routed_ = reader.get_u64();
     checksum_drops_ = reader.get_u64();

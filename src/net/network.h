@@ -12,12 +12,12 @@
  *     (their packets route by IP, i.e. explicit destination).
  *
  * Both services share the same links and switch pipeline, so bandwidth
- * comparisons across systems (Fig. 6) are apples-to-apples. A loss
- * probability knob exercises the offload engine's timeout/retransmit
- * path, and an optional fault-injection plane (src/faults) adds
- * per-link loss/duplication/corruption/jitter and scripted node
- * stall/blackout windows; when no plane is attached the fault path is
- * a strict no-op.
+ * comparisons across systems (Fig. 6) are apples-to-apples. The
+ * optional fault-injection plane (src/faults) is the fabric's only
+ * source of loss: per-link loss/duplication/corruption/jitter and
+ * scripted node stall/blackout windows, which exercise the offload
+ * engine's timeout/retransmit path; when no plane is attached the
+ * fault path is a strict no-op.
  */
 #ifndef PULSE_NET_NETWORK_H
 #define PULSE_NET_NETWORK_H
@@ -26,7 +26,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/random.h"
 #include "common/serial.h"
 #include "common/units.h"
 #include "faults/fault_plane.h"
@@ -62,12 +61,6 @@ struct NetworkConfig
      * separately); kept at zero by default to avoid double counting.
      */
     Time mem_node_nic_overhead = 0;
-
-    /** Probability a packet is dropped after switch routing. */
-    double loss_probability = 0.0;
-
-    /** Seed for the loss process. */
-    std::uint64_t seed = 42;
 };
 
 /**
@@ -84,7 +77,7 @@ struct TraversalFlow
     std::uint64_t duplicated = 0;  ///< extra copies the faults created
     std::uint64_t delivered = 0;   ///< copies that reached a sink
     std::uint64_t source_dark = 0;      ///< sender node blacked out
-    std::uint64_t plan_dropped = 0;     ///< loss knob / fault plane
+    std::uint64_t plan_dropped = 0;     ///< fault-plane link loss
     std::uint64_t delivery_blackout = 0;  ///< receiver dark at arrival
     std::uint64_t checksum_dropped = 0;   ///< NIC discarded (corrupt)
 
@@ -137,7 +130,7 @@ class Network
     /** Bytes received by @p addr so far. */
     Bytes bytes_received_by(EndpointAddr addr) const;
 
-    /** Packets dropped by the loss process. */
+    /** Packets the fault plane dropped on a link. */
     std::uint64_t packets_dropped() const { return dropped_; }
 
     /** Packets the switch routed. */
@@ -152,8 +145,8 @@ class Network
     /**
      * Attach the fault-injection plane (nullptr detaches). The network
      * does not own the plane; the cluster does. With no plane attached
-     * — or a plane whose config is all-quiet — delivery timing and the
-     * loss RNG stream are bit-identical to the plain network.
+     * — or a plane whose config is all-quiet — delivery timing is
+     * bit-identical to the plain network.
      */
     void attach_fault_plane(faults::FaultPlane* plane)
     {
@@ -173,7 +166,7 @@ class Network
 
     /**
      * Checkpoint support (core/checkpoint.h): link horizons, byte and
-     * flow accounting, the loss RNG stream, and the switch table.
+     * flow accounting, and the switch table.
      * Requires a quiesced network (no packets on the wire), which the
      * caller guarantees by checkpointing only on an empty event queue.
      */
@@ -193,9 +186,9 @@ class Network
     };
 
     /**
-     * Combined verdict for one end-to-end delivery: the legacy uniform
-     * loss knob plus the fault plane's judgement on both directed links
-     * (uplink of the sender, downlink of the receiver).
+     * Combined verdict for one end-to-end delivery: the fault plane's
+     * judgement on both directed links (uplink of the sender, downlink
+     * of the receiver).
      */
     struct DeliveryPlan
     {
@@ -211,9 +204,9 @@ class Network
     Time nic_overhead(EndpointAddr addr) const;
 
     /**
-     * Single loss/fault decision point for both delivery services
-     * (send_traversal and send_message previously duplicated the loss
-     * branch). Counts drops; draws randomness only when a knob is on.
+     * Single fault decision point for both delivery services
+     * (send_traversal and send_message). Counts drops; draws
+     * randomness only when a fault plane is attached and enabled.
      */
     DeliveryPlan plan_delivery(EndpointAddr from, EndpointAddr to);
 
@@ -236,7 +229,6 @@ class Network
     sim::EventQueue& queue_;
     NetworkConfig config_;
     SwitchTable table_;
-    Rng loss_rng_;
     faults::FaultPlane* fault_plane_ = nullptr;
     trace::Tracer* tracer_ = nullptr;
     std::vector<Port> client_ports_;

@@ -27,9 +27,7 @@
  * chain appends carry strictly increasing sequence numbers, chains for
  * one timestamp occupy disjoint, heap-ordered sequence ranges, and the
  * cache entry is invalidated when its chain's head is popped so events
- * scheduled *during* a drain start a fresh (later) chain. The
- * coalescing_ flag (PULSE_POOLING) exists as a live differential
- * check, not a semantic switch.
+ * scheduled *during* a drain start a fresh (later) chain.
  */
 #ifndef PULSE_SIM_EVENT_QUEUE_H
 #define PULSE_SIM_EVENT_QUEUE_H
@@ -75,7 +73,7 @@ using EventFn = InlineFunction<kEventInlineCapacity>;
 class EventQueue
 {
   public:
-    EventQueue();
+    EventQueue() = default;
 
     EventQueue(const EventQueue&) = delete;
     EventQueue& operator=(const EventQueue&) = delete;
@@ -151,15 +149,6 @@ class EventQueue
 
     /** Heap pops that drained a multi-event chain. */
     std::uint64_t batches_drained() const { return batches_; }
-
-    /**
-     * Enable/disable same-timestamp batching (defaults to the
-     * PULSE_POOLING environment knob). Execution order is identical
-     * either way; the switch exists as a differential check. Resets
-     * the timestamp cache, so it is safe to flip at any quiesce point
-     * (and between events in general).
-     */
-    void set_coalescing(bool enabled);
 
     /**
      * Attach an invariant registry (nullptr detaches). When present,
@@ -253,7 +242,6 @@ class EventQueue
     std::uint64_t batches_ = 0;
     /** Chain tail still to drain from the last popped heap entry. */
     std::uint32_t drain_next_ = kNilSlot;
-    bool coalescing_ = true;
 };
 
 }  // namespace pulse::sim

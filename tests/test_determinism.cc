@@ -7,6 +7,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "apps/apps.h"
 #include "workloads/driver.h"
 
@@ -86,7 +88,9 @@ TEST(Determinism, LossyNetworkIsSeededDeterministic)
 {
     const auto run = [] {
         core::ClusterConfig config;
-        config.network.loss_probability = 0.05;
+        // 5% end to end: the fault plane judges the uplink, then the
+        // downlink.
+        config.faults.links.loss = 1.0 - std::sqrt(1.0 - 0.05);
         config.offload.retransmit_timeout = micros(300.0);
         core::Cluster cluster(config);
         apps::AppScale scale;

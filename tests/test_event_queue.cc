@@ -4,7 +4,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -220,7 +222,6 @@ TEST(EventQueueDeath, SchedulingIntoThePastPanics)
 TEST(EventQueueCoalescing, ChainsPreserveFifoOrder)
 {
     EventQueue queue;
-    queue.set_coalescing(true);
     std::vector<int> order;
     // Interleave two timestamps so chains grow out of arrival order.
     for (int i = 0; i < 16; i++) {
@@ -244,7 +245,6 @@ TEST(EventQueueCoalescing, ManyTimestampsEvictTheCacheSafely)
     // slots: evicted timestamps fall back to plain heap entries, and
     // order is still globally correct.
     EventQueue queue;
-    queue.set_coalescing(true);
     std::vector<Time> fired;
     for (int pass = 0; pass < 2; pass++) {
         for (Time t = 1; t <= 300; t++) {
@@ -263,7 +263,6 @@ TEST(EventQueueCoalescing, SchedulingDuringDrainJoinsTheChain)
     // An event scheduled *at the current timestamp while its chain is
     // draining* must still run within this drain, in FIFO position.
     EventQueue queue;
-    queue.set_coalescing(true);
     std::vector<int> order;
     queue.schedule_at(10, [&] {
         order.push_back(0);
@@ -275,27 +274,33 @@ TEST(EventQueueCoalescing, SchedulingDuringDrainJoinsTheChain)
     EXPECT_EQ(queue.now(), 10);
 }
 
-TEST(EventQueueCoalescing, OffKnobExecutesIdentically)
+TEST(EventQueueCoalescing, MatchesStableTimestampOrder)
 {
-    const auto run_once = [](bool coalesce) {
-        EventQueue queue;
-        queue.set_coalescing(coalesce);
-        std::vector<int> order;
-        for (int i = 0; i < 32; i++) {
-            queue.schedule_at((i % 4) * 10,
-                              [&order, i] { order.push_back(i); });
-        }
-        queue.run();
-        return std::make_tuple(order, queue.now(),
-                               queue.events_executed());
-    };
-    EXPECT_EQ(run_once(true), run_once(false));
+    // Reference order: the schedule indices stably sorted by
+    // timestamp (FIFO among equal timestamps).
+    std::vector<Time> when(32);
+    for (int i = 0; i < 32; i++) {
+        when[i] = (i % 4) * 10;
+    }
+    std::vector<int> expected(32);
+    std::iota(expected.begin(), expected.end(), 0);
+    std::stable_sort(expected.begin(), expected.end(),
+                     [&when](int a, int b) { return when[a] < when[b]; });
+
+    EventQueue queue;
+    std::vector<int> order;
+    for (int i = 0; i < 32; i++) {
+        queue.schedule_at(when[i], [&order, i] { order.push_back(i); });
+    }
+    queue.run();
+    EXPECT_EQ(order, expected);
+    EXPECT_EQ(queue.now(), 30);
+    EXPECT_EQ(queue.events_executed(), 32u);
 }
 
 TEST(EventQueueCoalescing, RunUntilRespectsChainedDeadline)
 {
     EventQueue queue;
-    queue.set_coalescing(true);
     int before = 0;
     int after = 0;
     for (int i = 0; i < 4; i++) {
@@ -313,7 +318,6 @@ TEST(EventQueueCoalescing, RunUntilRespectsChainedDeadline)
 TEST(EventQueueCoalescing, CountersTrackChainedEvents)
 {
     EventQueue queue;
-    queue.set_coalescing(true);
     for (int i = 0; i < 10; i++) {
         queue.schedule_at(7, [] {});
     }

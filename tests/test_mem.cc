@@ -410,6 +410,38 @@ TEST(Allocator, BackingFreeAndReallocReusesAddresses)
     EXPECT_EQ(alloc.free_list_bytes(0), slab);
 }
 
+TEST(Allocator, FreeUnreservedSkipsReservationsAndHoles)
+{
+    // A home frame's application bytes interleave with a live
+    // reservation, an already-freed reservation and a reservation that
+    // was handed back to the application: only the application bytes
+    // and the handed-back range are returned.
+    AddressMap map(1, 1 * kMiB);
+    ClusterAllocator alloc(map, AllocPolicy::kPartitioned);
+    const Bytes k4 = 4 * kKiB;
+    ASSERT_NE(alloc.alloc_on(0, k4, 256), kNullAddr);           // [0, 4K)
+    const Bytes live = alloc.alloc_backing(0, k4, 256);          // [4K, 8K)
+    const Bytes freed = alloc.alloc_backing(0, k4, 256);         // [8K, 12K)
+    const Bytes handed_back = alloc.alloc_backing(0, 2 * k4, 256);
+    ASSERT_NE(alloc.alloc_on(0, k4, 256), kNullAddr);           // [20K, 24K)
+    ASSERT_EQ(live, k4);
+    ASSERT_EQ(freed, 2 * k4);
+    ASSERT_EQ(handed_back, 3 * k4);
+    alloc.free_backing(0, freed, k4);
+    alloc.unreserve(0, handed_back + k4, k4);  // its upper half only
+    EXPECT_EQ(alloc.free_list_bytes(0), k4);
+
+    alloc.free_unreserved(0, 0, 6 * k4);
+    // Returned: [0, 4K) and [16K, 24K); [8K, 12K) was already free.
+    EXPECT_EQ(alloc.free_list_bytes(0), 4 * k4);
+    // The live reservation and the lower half of the partly handed-back
+    // one are still theirs: freeing them is not a double free.
+    alloc.free_backing(0, live, k4);
+    alloc.free_backing(0, handed_back, k4);
+    EXPECT_EQ(alloc.free_list_bytes(0), 6 * k4);
+    EXPECT_EQ(alloc.alloc_backing(0, 6 * k4, 256), 0u);
+}
+
 TEST(AllocatorDeath, BackingDoubleFreePanics)
 {
     AddressMap map(1, 1 * kMiB);

@@ -247,6 +247,85 @@ TEST(MigrationEngine, StraddlingSlabRetiresOnlyApplicationBytes)
     allocator.free_backing(0, reserved, kSlab - kApp);
 }
 
+TEST(MigrationEngine, RetireSkipsReservationsBelowTheFrontier)
+{
+    // A reservation taken before the application allocates again ends
+    // up below the application frontier, inside the home frame.
+    // Migrating the slab away must return only the application bytes
+    // around it.
+    core::ClusterConfig config;
+    config.num_mem_nodes = 2;
+    core::Cluster cluster(config);
+    MigrationEngine engine = make_engine(cluster);
+    mem::ClusterAllocator& allocator = cluster.allocator();
+
+    constexpr Bytes kApp = 4 * kKiB;
+    constexpr Bytes kReserved = 16 * kKiB;
+    const VirtAddr va = allocator.alloc_on(0, kApp, kSlab);
+    ASSERT_NE(va, kNullAddr);
+    const Bytes reserved =
+        allocator.alloc_backing(0, kReserved, core::kBackingAlign);
+    ASSERT_EQ(reserved, kApp);
+    ASSERT_NE(allocator.alloc_on(0, kApp), kNullAddr);
+    const Bytes frontier = allocator.app_allocated_on(0);
+    ASSERT_EQ(frontier, kApp + kReserved + kApp);  // past the reservation
+    const Bytes fill = allocator.alloc_backing(0, kSlab - frontier,
+                                               core::kBackingAlign);
+    ASSERT_EQ(fill, frontier);
+    ASSERT_EQ(allocator.allocated_on(0), kSlab);  // slab fully backed
+
+    bool success = false;
+    ASSERT_TRUE(engine.start(va, kSlab, 1,
+                             [&](bool migrated) { success = migrated; }));
+    cluster.queue().run();
+    ASSERT_TRUE(success);
+    EXPECT_EQ(allocator.free_list_bytes(0), 2 * kApp);
+
+    const Bytes phys = allocator.alloc_backing(0, kReserved,
+                                               core::kBackingAlign);
+    ASSERT_NE(phys, mem::ClusterAllocator::kNoBacking);
+    EXPECT_TRUE(phys + kReserved <= reserved ||
+                phys >= reserved + kReserved)
+        << "backing at " << phys << " overlaps the reservation";
+    allocator.free_backing(0, reserved, kReserved);
+    allocator.free_backing(0, fill, kSlab - frontier);
+}
+
+TEST(MigrationEngine, RoundTripHomeRetiresTheWholeFrame)
+{
+    // A slab that moved back into its home frame took the frame's
+    // bytes past the application frontier too; migrating it away again
+    // must return them, not just the application prefix.
+    core::ClusterConfig config;
+    config.num_mem_nodes = 2;
+    core::Cluster cluster(config);
+    MigrationEngine engine = make_engine(cluster);
+    mem::ClusterAllocator& allocator = cluster.allocator();
+
+    constexpr Bytes kApp = 4 * kKiB;
+    const VirtAddr va = allocator.alloc_on(0, kApp, kSlab);
+    ASSERT_NE(va, kNullAddr);
+    const Bytes rest = allocator.alloc_backing(0, kSlab - kApp,
+                                               core::kBackingAlign);
+    ASSERT_EQ(rest, kApp);
+    const auto migrate = [&](NodeId dst) {
+        bool success = false;
+        ASSERT_TRUE(engine.start(va, kSlab, dst,
+                                 [&](bool moved) { success = moved; }));
+        cluster.queue().run();
+        ASSERT_TRUE(success);
+    };
+
+    migrate(1);
+    allocator.free_backing(0, rest, kSlab - kApp);
+    ASSERT_EQ(allocator.free_list_bytes(0), kSlab);
+    migrate(0);  // back into the whole home frame
+    ASSERT_TRUE(cluster.memory().address_map().remaps().empty());
+    ASSERT_EQ(allocator.free_list_bytes(0), 0u);
+    migrate(1);
+    EXPECT_EQ(allocator.free_list_bytes(0), kSlab);
+}
+
 isa::Program
 cas_increment_program()
 {

@@ -234,8 +234,11 @@ TEST_F(NetFixture, ForwardedContinuationBecomesRequest)
 
 TEST_F(NetFixture, LossDropsDeterministically)
 {
-    config.loss_probability = 1.0;
+    faults::FaultConfig fault_config;
+    fault_config.links.loss = 1.0;
+    faults::FaultPlane plane(fault_config);
     Network network(queue, config);
+    network.attach_fault_plane(&plane);
     network.send_message(EndpointAddr::client(0),
                          EndpointAddr::mem_node(0), 100,
                          [] { FAIL() << "lost packet delivered"; });
