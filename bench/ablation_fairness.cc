@@ -53,6 +53,7 @@ victim_latency(CellContext& ctx, accel::SchedPolicy policy,
                std::uint32_t flood_depth, double* flood_kops)
 {
     core::ClusterConfig config;
+    core::apply_env(config);
     config.num_clients = 2;
     config.accel.sched_policy = policy;
     config.accel.workspaces_per_logic = 4;
@@ -138,6 +139,7 @@ core::ClusterConfig
 isolation_config()
 {
     core::ClusterConfig config;
+    core::apply_env(config);
     config.num_clients = 2;
     config.accel.sched_policy = accel::SchedPolicy::kWeightedDrr;
     config.accel.workspaces_per_logic = 4;

@@ -80,11 +80,9 @@ fork_sweep(CellContext& ctx, std::uint32_t fanout, ForkPoint& out)
     out.fanout = fanout;
 
     core::ClusterConfig config;
+    core::apply_env(config);
     config.num_mem_nodes = 8;
     config.accel.workspaces_per_logic = 16;
-    config.check = check::CheckConfig::from_env();
-    config.placement = placement::PlacementConfig::from_env();
-    config.replication = replication::ReplicationConfig::from_env();
     core::Cluster cluster(config);
 
     ds::BPTreeConfig bt;

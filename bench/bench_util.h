@@ -223,22 +223,7 @@ make_config(const RunSpec& spec)
     config.cache.cache_bytes = cache_bytes;
     config.aifm.cache_bytes = cache_bytes;
     config.set_pulse_acc(spec.pulse_acc);
-    // PULSE_CHECK=1 (or a layer list) turns on the correctness
-    // subsystem for any bench run; unset leaves it all-off and the
-    // outputs bit-identical (see docs/TESTING.md).
-    config.check = check::CheckConfig::from_env();
-    // PULSE_PLACEMENT=static|elastic turns on the placement plane for
-    // any bench run; unset (or =off) constructs nothing and leaves the
-    // outputs bit-identical (see docs/PLACEMENT.md).
-    config.placement = placement::PlacementConfig::from_env();
-    // PULSE_REPLICATION=k2|k3 turns on the fault-tolerance plane for
-    // any bench run; unset (or =off) constructs nothing and leaves the
-    // outputs bit-identical (see docs/REPLICATION.md).
-    config.replication = replication::ReplicationConfig::from_env();
-    // PULSE_SERVING=on turns on the multi-tenant serving plane for any
-    // bench run; unset (or =off) constructs nothing and leaves the
-    // outputs bit-identical (see docs/SERVING.md).
-    config.serve = serve::ServeConfig::from_env();
+    core::apply_env(config);  // unset: planes off, outputs bit-identical
     if (spec.tweak) {
         spec.tweak(config);
     }

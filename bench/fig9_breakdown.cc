@@ -14,7 +14,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
-#include "ds/hash_table.h"
+#include "fig9_cell.h"
 #include "sweep_runner.h"
 
 namespace {
@@ -22,70 +22,16 @@ namespace {
 using namespace pulse;
 using namespace pulse::bench;
 
-struct Breakdown
-{
-    double net_stack_ns = 0.0;
-    double scheduler_ns = 0.0;
-    double mem_per_iter_ns = 0.0;
-    double logic_per_iter_ns = 0.0;
-    double iters = 0.0;
-    double total_accel_us = 0.0;
-    double end_to_end_us = 0.0;
-};
-
-Breakdown g_result;
+Fig9Breakdown g_result;
 
 void
 breakdown_cell(CellContext& ctx)
 {
     core::ClusterConfig config;
+    core::apply_env(config);
     core::Cluster cluster(config);
-    ds::HashTableConfig ht;
-    ht.num_buckets = 512;
-    ds::HashTable table(cluster.memory(), cluster.allocator(), ht);
-    std::vector<std::uint64_t> keys;
-    for (std::uint64_t i = 0; i < 50'000; i++) {
-        keys.push_back(workloads::key_of(i));
-    }
-    table.insert_many(keys);
-
-    Rng rng(17);
-    workloads::DriverConfig driver;
-    driver.warmup_ops = 20;
-    driver.measure_ops = 400;
-    driver.concurrency = 1;
-    driver.on_measure_start = [&cluster] { cluster.reset_stats(); };
-
-    const workloads::DriverResult result = run_closed_loop(
-        cluster.queue(), cluster.submitter(core::SystemKind::kPulse),
-        [&](std::uint64_t) {
-            return table.make_find(keys[rng.next_below(keys.size())],
-                                   nullptr);
-        },
-        driver);
+    g_result = run_fig9_cell(cluster);
     ctx.add_events(cluster.queue().events_executed());
-
-    const auto& stats = cluster.accelerator(0).stats();
-    const double requests =
-        static_cast<double>(stats.requests_received.value());
-    const double iters =
-        static_cast<double>(stats.iterations.value());
-    const double loads = static_cast<double>(stats.loads.value());
-    g_result.net_stack_ns =
-        stats.net_stack_time.sum() / (2.0 * requests) / 1e3;
-    g_result.scheduler_ns =
-        stats.scheduler_time.sum() / requests / 1e3;
-    g_result.mem_per_iter_ns =
-        stats.mem_pipeline_time.sum() / loads / 1e3;
-    g_result.logic_per_iter_ns =
-        stats.logic_pipeline_time.sum() / iters / 1e3;
-    g_result.iters = iters / requests;
-    g_result.total_accel_us =
-        (stats.net_stack_time.sum() + stats.scheduler_time.sum() +
-         stats.mem_pipeline_time.sum() +
-         stats.logic_pipeline_time.sum()) /
-        requests / 1e6;
-    g_result.end_to_end_us = to_micros(result.latency.mean());
 }
 
 void

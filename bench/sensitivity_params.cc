@@ -75,6 +75,7 @@ max_iter_cell(CellContext& ctx, std::uint32_t max_iters,
 {
     out.max_iters = max_iters;
     core::ClusterConfig config;
+    core::apply_env(config);
     core::Cluster cluster(config);
     ds::LinkedList list(cluster.memory(), cluster.allocator());
     std::vector<std::uint64_t> values(480);

@@ -65,6 +65,7 @@ traversal_length(CellContext& ctx, std::uint64_t hops,
                  LengthPoint& out)
 {
     core::ClusterConfig config;
+    core::apply_env(config);
     core::Cluster cluster(config);
     auto list = build_list(cluster, hops + 8);
 
@@ -85,6 +86,7 @@ core_count(CellContext& ctx, std::uint32_t cores, bool interconnect,
            CorePoint& out)
 {
     core::ClusterConfig config;
+    core::apply_env(config);
     config.accel.num_cores = cores;
     config.accel.workspaces_per_logic = 16;
     core::Cluster cluster(config);

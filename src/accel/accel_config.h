@@ -113,8 +113,7 @@ struct AccelConfig
      * SRAM): retransmitted or fault-duplicated packets for a visit
      * that already executed get the recorded response replayed instead
      * of re-executing — required for exactly-once semantics of
-     * traversals with stores/CAS. 0 disables the window (pre-reliable
-     * behaviour: duplicates re-execute).
+     * traversals with stores/CAS. Must be at least 1.
      */
     std::uint32_t replay_window_entries = 1u << 12;
 

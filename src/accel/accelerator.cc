@@ -219,62 +219,60 @@ Accelerator::on_packet(net::TraversalPacket&& packet)
     // (request id, iterations_done), unique per node visit because
     // iterations_done only grows along a traversal.
     const ReplayWindow::Key key{packet.id, packet.iterations_done};
-    if (replay_.enabled()) {
-        switch (replay_.classify(key)) {
-            case ReplayWindow::Verdict::kInProgress:
-                // Still executing; the eventual response answers both
-                // copies (the client matches by id, not by copy).
-                stats_.duplicates_suppressed.increment();
-                return;
-            case ReplayWindow::Verdict::kCached: {
-                // Executed already: replay the recorded packet rather
-                // than re-running (exactly-once for stores/CAS). This
-                // also repairs a dropped forward: the cached packet IS
-                // the continuation the switch re-routes.
-                //
-                // Exception: a zero-progress kNotLocal bounce (no
-                // iteration ran, so no side effects). Its cached packet
-                // only says "route me by current ownership" — and when
-                // this node *became* the owner since it was recorded
-                // (the slab migrated here, or the entry arrived via a
-                // cutover's replay-digest handoff), replaying it would
-                // bounce the packet between switch and accelerator
-                // forever. Re-execute under current routes instead.
-                if (const net::TraversalPacket* bounce =
-                        replay_.cached_response(key);
-                    bounce->status == TraversalStatus::kNotLocal &&
-                    bounce->iterations_done == packet.iterations_done) {
-                    replay_.forget(key);
-                    replay_.mark_in_progress(key);
-                    break;
-                }
-                stats_.replays_sent.increment();
-                net::TraversalPacket cached =
-                    *replay_.cached_response(key);
-                const Time parse = scaled(config_.net_stack_latency);
-                stats_.net_stack_time.add(static_cast<double>(parse));
-                if (tracing(packet)) {
-                    record_span(packet, trace::SpanKind::kAccelNetStackRx,
-                                queue_.now(), parse);
-                }
-                queue_.schedule_after(
-                    parse, [this, cached = std::move(cached)]() mutable {
-                        network_.send_traversal(
-                            net::EndpointAddr::mem_node(node_),
-                            std::move(cached));
-                    });
-                return;
-            }
-            case ReplayWindow::Verdict::kNew:
+    switch (replay_.classify(key)) {
+        case ReplayWindow::Verdict::kInProgress:
+            // Still executing; the eventual response answers both
+            // copies (the client matches by id, not by copy).
+            stats_.duplicates_suppressed.increment();
+            return;
+        case ReplayWindow::Verdict::kCached: {
+            // Executed already: replay the recorded packet rather
+            // than re-running (exactly-once for stores/CAS). This
+            // also repairs a dropped forward: the cached packet IS
+            // the continuation the switch re-routes.
+            //
+            // Exception: a zero-progress kNotLocal bounce (no
+            // iteration ran, so no side effects). Its cached packet
+            // only says "route me by current ownership" — and when
+            // this node *became* the owner since it was recorded
+            // (the slab migrated here, or the entry arrived via a
+            // cutover's replay-digest handoff), replaying it would
+            // bounce the packet between switch and accelerator
+            // forever. Re-execute under current routes instead.
+            if (const net::TraversalPacket* bounce =
+                    replay_.cached_response(key);
+                bounce->status == TraversalStatus::kNotLocal &&
+                bounce->iterations_done == packet.iterations_done) {
+                replay_.forget(key);
                 replay_.mark_in_progress(key);
-                if (replication_ != nullptr) {
-                    // Write-synchronous digest mirroring: replicas must
-                    // suppress a retransmit of this visit even if this
-                    // node dies before completing it.
-                    replication_->mirror_mark(node_, key);
-                }
                 break;
+            }
+            stats_.replays_sent.increment();
+            net::TraversalPacket cached =
+                *replay_.cached_response(key);
+            const Time parse = scaled(config_.net_stack_latency);
+            stats_.net_stack_time.add(static_cast<double>(parse));
+            if (tracing(packet)) {
+                record_span(packet, trace::SpanKind::kAccelNetStackRx,
+                            queue_.now(), parse);
+            }
+            queue_.schedule_after(
+                parse, [this, cached = std::move(cached)]() mutable {
+                    network_.send_traversal(
+                        net::EndpointAddr::mem_node(node_),
+                        std::move(cached));
+                });
+            return;
         }
+        case ReplayWindow::Verdict::kNew:
+            replay_.mark_in_progress(key);
+            if (replication_ != nullptr) {
+                // Write-synchronous digest mirroring: replicas must
+                // suppress a retransmit of this visit even if this
+                // node dies before completing it.
+                replication_->mirror_mark(node_, key);
+            }
+            break;
     }
     // The visit's first load is known now; start pulling it into the
     // host cache while the rx-parse and scheduler events run.
@@ -468,7 +466,7 @@ Accelerator::try_dispatch(net::TraversalPacket& packet)
     context->packet = std::move(packet);
     context->arrival_iterations = context->packet.iterations_done;
     context->iterations_this_visit = 0;
-    if (invariants_ != nullptr && replay_.enabled()) {
+    if (invariants_ != nullptr) {
         const ReplayWindow::Key key{context->packet.id,
                                     context->arrival_iterations};
         if (!executed_visits_.insert(key).second) {

@@ -10,7 +10,7 @@ void
 ReplayWindow::evict_for(ClientId client)
 {
     auto& order = order_[client];
-    while (order.size() >= capacity_ && !order.empty()) {
+    while (order.size() >= capacity_) {
         // FIFO like the real dedup SRAM: oldest visit leaves first. An
         // entry evicted while a duplicate is still in flight merely
         // loses suppression for that duplicate — correctness degrades
@@ -24,9 +24,6 @@ ReplayWindow::evict_for(ClientId client)
 void
 ReplayWindow::mark_in_progress(const Key& key)
 {
-    if (!enabled()) {
-        return;
-    }
     const auto [it, inserted] = entries_.try_emplace(key);
     if (!inserted) {
         return;
@@ -75,9 +72,6 @@ void
 ReplayWindow::record_response(const Key& key,
                               net::TraversalPacket response)
 {
-    if (!enabled()) {
-        return;
-    }
     const auto it = entries_.find(key);
     if (it == entries_.end()) {
         // The entry was evicted mid-execution; nothing to record.
@@ -90,9 +84,6 @@ ReplayWindow::record_response(const Key& key,
 std::size_t
 ReplayWindow::absorb_from(ReplayWindow& donor)
 {
-    if (!enabled() || !donor.enabled()) {
-        return 0;
-    }
     // Deterministic absorption order: unordered_map iteration varies
     // between runs, so walk clients ascending and each client's FIFO.
     std::vector<ClientId> clients;
@@ -134,9 +125,6 @@ void
 ReplayWindow::import_completion(const Key& key,
                                 const net::TraversalPacket& response)
 {
-    if (!enabled()) {
-        return;
-    }
     const auto it = entries_.find(key);
     if (it == entries_.end() || it->second.done) {
         return;  // not absorbed here, or already completed

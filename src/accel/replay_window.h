@@ -29,6 +29,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/logging.h"
 #include "common/pool_allocator.h"
 #include "common/types.h"
 #include "net/packet.h"
@@ -69,13 +70,12 @@ class ReplayWindow
         kCached,      ///< finished: replay the recorded response
     };
 
-    /** @param per_client_entries FIFO budget per client (0 disables). */
+    /** @param per_client_entries FIFO budget per client (>= 1). */
     explicit ReplayWindow(std::size_t per_client_entries)
         : capacity_(per_client_entries)
     {
+        PULSE_ASSERT(capacity_ >= 1, "replay window needs >= 1 entry");
     }
-
-    bool enabled() const { return capacity_ > 0; }
 
     /** Classify @p key without modifying the window. */
     Verdict

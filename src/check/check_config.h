@@ -16,13 +16,12 @@
  * A default CheckConfig is fully off and costs nothing: the cluster
  * constructs no checker, wraps no submitter, and draws no randomness,
  * so checker-off runs stay bit-identical to a build without src/check.
+ * PULSE_CHECK selects the layers (core::apply_env).
  */
 #ifndef PULSE_CHECK_CHECK_CONFIG_H
 #define PULSE_CHECK_CHECK_CONFIG_H
 
-#include <cstdlib>
-#include <cstring>
-#include <string>
+#include <cstddef>
 
 namespace pulse::check {
 
@@ -46,49 +45,6 @@ struct CheckConfig
     std::size_t max_diagnostics = 64;
 
     bool enabled() const { return oracle || invariants; }
-
-    /**
-     * Parse the PULSE_CHECK environment variable:
-     *   "" / unset      -> all off (the default)
-     *   "1", "all", "on"-> oracle + invariants + fail_fast
-     *   comma list      -> any of "oracle", "invariants",
-     *                      "fail-fast" / "failfast"
-     * Unknown tokens are ignored so future knobs stay forward-
-     * compatible.
-     */
-    static CheckConfig
-    from_env()
-    {
-        CheckConfig config;
-        const char* env = std::getenv("PULSE_CHECK");
-        if (env == nullptr || *env == '\0') {
-            return config;
-        }
-        const std::string value(env);
-        if (value == "1" || value == "all" || value == "on") {
-            config.oracle = true;
-            config.invariants = true;
-            config.fail_fast = true;
-            return config;
-        }
-        std::size_t pos = 0;
-        while (pos <= value.size()) {
-            std::size_t comma = value.find(',', pos);
-            if (comma == std::string::npos) {
-                comma = value.size();
-            }
-            const std::string token = value.substr(pos, comma - pos);
-            if (token == "oracle") {
-                config.oracle = true;
-            } else if (token == "invariants") {
-                config.invariants = true;
-            } else if (token == "fail-fast" || token == "failfast") {
-                config.fail_fast = true;
-            }
-            pos = comma + 1;
-        }
-        return config;
-    }
 };
 
 }  // namespace pulse::check

@@ -145,13 +145,17 @@ diagnostics_message(const InvariantRegistry& registry)
     return message;
 }
 
-FuzzResult
-run_workload_case(const FuzzCase& c)
+/**
+ * Every case's cluster config: the plane variables (so cutovers or
+ * failover race the fuzzed traversals), then the fuzzer's own checker
+ * and the case's faults. False, with @p result failed, for an unknown
+ * fault profile.
+ */
+bool
+case_config(const FuzzCase& c, core::ClusterConfig& config,
+            FuzzResult& result)
 {
-    FuzzResult result;
-    bool fault_known = false;
-
-    core::ClusterConfig config;
+    core::apply_env(config);
     config.num_mem_nodes = c.nodes == 0 ? 1 : c.nodes;
     config.node_capacity = 32 * kMiB;
     config.seed = c.seed;
@@ -159,31 +163,34 @@ run_workload_case(const FuzzCase& c)
     config.check.invariants = true;
     config.check.fail_fast = false;
     config.check.max_diagnostics = 16;
+    bool fault_known = false;
     config.faults = fuzz_fault_config(c.fault, c.seed, &fault_known);
     if (!fault_known) {
         result.ok = false;
         result.message = "unknown fault profile: " + c.fault;
-        return result;
+        return false;
     }
     if (config.faults.enabled()) {
         // Fast loss recovery so even lossy cases drain quickly.
         config.offload.adaptive_rto = true;
         config.offload.retransmit_timeout = micros(2000.0);
     }
-    // Opt-in (PULSE_PLACEMENT=elastic in the CI migration-soak job):
-    // run every fuzz case with the placement plane live, so cutovers
-    // race the fuzzed traversals under the oracle and invariants. A
-    // short epoch makes migrations plausible within a case's runtime.
-    config.placement = placement::PlacementConfig::from_env();
     if (config.placement.enabled()) {
+        // A short epoch makes migrations plausible within a case.
         config.placement.epoch = micros(5.0);
         config.placement.trigger_imbalance = 1.1;
     }
-    // Opt-in (PULSE_REPLICATION=k2 in the CI chaos-soak job): run
-    // every fuzz case with the replication plane live, so crash
-    // detection and failover race the fuzzed traversals under the
-    // oracle and invariants.
-    config.replication = replication::ReplicationConfig::from_env();
+    return true;
+}
+
+FuzzResult
+run_workload_case(const FuzzCase& c)
+{
+    FuzzResult result;
+    core::ClusterConfig config;
+    if (!case_config(c, config, result)) {
+        return result;
+    }
     // Per-case opt-in: tenants >= 2 runs the whole mix through the
     // serving plane — WDRR admission keyed by tenant, quota-capped
     // batch tenants (throttle + typed shed paths live), tight queue
@@ -555,32 +562,10 @@ FuzzResult
 run_fork_case(const FuzzCase& c)
 {
     FuzzResult result;
-    bool fault_known = false;
-
     core::ClusterConfig config;
-    config.num_mem_nodes = c.nodes == 0 ? 1 : c.nodes;
-    config.node_capacity = 32 * kMiB;
-    config.seed = c.seed;
-    config.check.oracle = true;
-    config.check.invariants = true;
-    config.check.fail_fast = false;
-    config.check.max_diagnostics = 16;
-    config.faults = fuzz_fault_config(c.fault, c.seed, &fault_known);
-    if (!fault_known) {
-        result.ok = false;
-        result.message = "unknown fault profile: " + c.fault;
+    if (!case_config(c, config, result)) {
         return result;
     }
-    if (config.faults.enabled()) {
-        config.offload.adaptive_rto = true;
-        config.offload.retransmit_timeout = micros(2000.0);
-    }
-    config.placement = placement::PlacementConfig::from_env();
-    if (config.placement.enabled()) {
-        config.placement.epoch = micros(5.0);
-        config.placement.trigger_imbalance = 1.1;
-    }
-    config.replication = replication::ReplicationConfig::from_env();
 
     core::Cluster cluster(config);
     Rng rng(c.seed * 0x9E3779B97F4A7C15ull + 0xF0);

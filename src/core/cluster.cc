@@ -1,7 +1,9 @@
 #include "core/cluster.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "common/logging.h"
 #include "faults/nemesis.h"
@@ -30,6 +32,97 @@ ClusterConfig::ClusterConfig()
     rpc_wimpy.clock_ghz = 1.0;
     rpc_wimpy.workers_per_node = 24;
     rpc_wimpy.server_overhead = nanos(850.0 * 2.6);
+}
+
+namespace {
+
+/** One accepted value of a plane variable and the switch it sets. */
+struct EnvSpelling
+{
+    const char* value;
+    void (*apply)(ClusterConfig&);
+};
+
+/** A plane variable. Its first spelling is "off", which unset and
+ *  empty also mean; a list variable takes comma-separated spellings. */
+struct EnvVariable
+{
+    const char* name;
+    bool list;
+    std::vector<EnvSpelling> spellings;
+};
+
+const EnvVariable kEnvVariables[] = {
+    {"PULSE_CHECK", true,
+     {{"off",
+       [](ClusterConfig& c) {
+           c.check.oracle = c.check.invariants = c.check.fail_fast = false;
+       }},
+      {"all",
+       [](ClusterConfig& c) {
+           c.check.oracle = c.check.invariants = c.check.fail_fast = true;
+       }},
+      {"oracle", [](ClusterConfig& c) { c.check.oracle = true; }},
+      {"invariants", [](ClusterConfig& c) { c.check.invariants = true; }},
+      {"fail-fast", [](ClusterConfig& c) { c.check.fail_fast = true; }}}},
+    {"PULSE_PLACEMENT", false,
+     {{"off",
+       [](ClusterConfig& c) {
+           c.placement.mode = placement::PlacementMode::kOff;
+       }},
+      {"static",
+       [](ClusterConfig& c) {
+           c.placement.mode = placement::PlacementMode::kStatic;
+       }},
+      {"elastic",
+       [](ClusterConfig& c) {
+           c.placement.mode = placement::PlacementMode::kElastic;
+       }}}},
+    {"PULSE_REPLICATION", false,
+     {{"off", [](ClusterConfig& c) { c.replication.replication_factor = 1; }},
+      {"k2", [](ClusterConfig& c) { c.replication.replication_factor = 2; }},
+      {"k3", [](ClusterConfig& c) { c.replication.replication_factor = 3; }}}},
+    {"PULSE_SERVING", false,
+     {{"off", [](ClusterConfig& c) { c.serve.on = false; }},
+      {"on", [](ClusterConfig& c) { c.serve.on = true; }}}},
+};
+
+void
+apply_spelling(const EnvVariable& variable, const std::string& value,
+               const std::string& token, ClusterConfig& config)
+{
+    std::string accepted;
+    for (const EnvSpelling& spelling : variable.spellings) {
+        if (token == spelling.value) {
+            spelling.apply(config);
+            return;
+        }
+        accepted += accepted.empty() ? "" : " | ";
+        accepted += spelling.value;
+    }
+    fatal("%s=%s: unknown value '%s'; accepted%s: %s", variable.name,
+          value.c_str(), token.c_str(),
+          variable.list ? " (comma-separated)" : "", accepted.c_str());
+}
+
+}  // namespace
+
+void
+apply_env(ClusterConfig& config)
+{
+    for (const EnvVariable& variable : kEnvVariables) {
+        variable.spellings.front().apply(config);
+        const char* env = std::getenv(variable.name);
+        const std::string value = env == nullptr ? "" : env;
+        for (std::size_t pos = 0; !value.empty() && pos <= value.size();) {
+            const std::size_t end =
+                variable.list ? std::min(value.find(',', pos), value.size())
+                              : value.size();
+            apply_spelling(variable, value, value.substr(pos, end - pos),
+                           config);
+            pos = end + 1;
+        }
+    }
 }
 
 Cluster::Cluster(const ClusterConfig& config)

@@ -111,8 +111,8 @@ struct ClusterConfig
      * the pulse path and/or structural invariant checking. All off by
      * default — no Checker is constructed, no submitter is wrapped,
      * and no randomness or timing changes, so checker-off runs are
-     * bit-identical to a build without the subsystem. Benches honor
-     * the PULSE_CHECK environment variable (see CheckConfig).
+     * bit-identical to a build without the subsystem. PULSE_CHECK
+     * selects it (see apply_env).
      */
     check::CheckConfig check;
 
@@ -122,8 +122,7 @@ struct ClusterConfig
      * default — no plane is constructed, accelerators keep a null
      * placement pointer, and no stats keys are registered, so
      * placement-off runs stay bit-identical to a build without the
-     * subsystem. Benches honor the PULSE_PLACEMENT environment
-     * variable (see PlacementConfig).
+     * subsystem. PULSE_PLACEMENT selects it (see apply_env).
      */
     placement::PlacementConfig placement;
 
@@ -133,8 +132,8 @@ struct ClusterConfig
      * (replication factor 1) — no plane is constructed, accelerators
      * keep a null replication pointer, and no stats keys are
      * registered, so replication-off runs stay bit-identical to a
-     * build without the subsystem. Benches honor the PULSE_REPLICATION
-     * environment variable (see ReplicationConfig).
+     * build without the subsystem. PULSE_REPLICATION selects it (see
+     * apply_env).
      */
     replication::ReplicationConfig replication;
 
@@ -150,8 +149,8 @@ struct ClusterConfig
      * WDRR admission weights. Off by default — no QosController is
      * constructed, accelerators keep a null serving pointer, and no
      * stats keys are registered, so serving-off runs stay bit-identical
-     * to a build without the subsystem. Benches honor the PULSE_SERVING
-     * environment variable (see ServeConfig).
+     * to a build without the subsystem. PULSE_SERVING selects it (see
+     * apply_env).
      */
     serve::ServeConfig serve;
 
@@ -166,6 +165,16 @@ struct ClusterConfig
         offload.switch_continuation = !acc;
     }
 };
+
+/**
+ * Set each plane's switch from its variable: PULSE_CHECK (off | all |
+ * comma list of oracle, invariants, fail-fast), PULSE_PLACEMENT (off |
+ * static | elastic), PULSE_REPLICATION (off | k2 | k3), PULSE_SERVING
+ * (off | on). Unset or empty means off. Any other value is fatal and
+ * names the variable. Every bench and tool calls this once on a fresh
+ * config, before its own settings.
+ */
+void apply_env(ClusterConfig& config);
 
 /** The assembled rack. */
 class Cluster

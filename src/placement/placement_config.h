@@ -14,12 +14,13 @@
  *               planning whenever the node-load imbalance crosses the
  *               trigger, live slab copies with online switch/TCAM
  *               reconfiguration at cutover.
+ *
+ * PULSE_PLACEMENT selects the mode (core::apply_env).
  */
 #ifndef PULSE_PLACEMENT_PLACEMENT_CONFIG_H
 #define PULSE_PLACEMENT_PLACEMENT_CONFIG_H
 
-#include <cstdlib>
-#include <string>
+#include <cstdint>
 
 #include "common/units.h"
 
@@ -75,31 +76,6 @@ struct PlacementConfig
     std::uint32_t max_migrations_per_epoch = 16;
 
     bool enabled() const { return mode != PlacementMode::kOff; }
-
-    /**
-     * Parse the PULSE_PLACEMENT environment variable:
-     *   "" / unset / "off" -> kOff (the default)
-     *   "static"           -> kStatic
-     *   "elastic" / "1" / "on" -> kElastic
-     * Unknown values are treated as off so existing runs stay
-     * untouched by typos.
-     */
-    static PlacementConfig
-    from_env()
-    {
-        PlacementConfig config;
-        const char* env = std::getenv("PULSE_PLACEMENT");
-        if (env == nullptr || *env == '\0') {
-            return config;
-        }
-        const std::string value(env);
-        if (value == "static") {
-            config.mode = PlacementMode::kStatic;
-        } else if (value == "elastic" || value == "1" || value == "on") {
-            config.mode = PlacementMode::kElastic;
-        }
-        return config;
-    }
 };
 
 }  // namespace pulse::placement

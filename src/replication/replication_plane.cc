@@ -564,7 +564,7 @@ ReplicationPlane::mirror_mark(NodeId from,
     note_activity();
     for (NodeId node = 0; node < replay_windows_.size(); node++) {
         accel::ReplayWindow* window = replay_windows_[node];
-        if (node == from || window == nullptr || !window->enabled()) {
+        if (node == from || window == nullptr) {
             continue;
         }
         // A retransmit that reaches a replica before the original
@@ -586,7 +586,7 @@ ReplicationPlane::mirror_response(NodeId from,
     note_activity();
     for (NodeId node = 0; node < replay_windows_.size(); node++) {
         accel::ReplayWindow* window = replay_windows_[node];
-        if (node == from || window == nullptr || !window->enabled()) {
+        if (node == from || window == nullptr) {
             continue;
         }
         const auto verdict = window->classify(key);
@@ -608,7 +608,7 @@ ReplicationPlane::mirror_unmark(NodeId from,
     note_activity();
     for (NodeId node = 0; node < replay_windows_.size(); node++) {
         accel::ReplayWindow* window = replay_windows_[node];
-        if (node == from || window == nullptr || !window->enabled()) {
+        if (node == from || window == nullptr) {
             continue;
         }
         if (window->classify(key) ==

@@ -11,15 +11,15 @@
  * Gating follows the PR 5/6 pattern exactly: with the plane off (the
  * default) no QosController is constructed, accelerators keep a null
  * serving pointer, no stats keys are registered, and runs stay
- * bit-identical to a build without the subsystem. Benches honor the
- * PULSE_SERVING environment variable (docs/SERVING.md).
+ * bit-identical to a build without the subsystem. PULSE_SERVING
+ * switches it on with default contracts (core::apply_env,
+ * docs/SERVING.md); benches that need specific contracts (the
+ * tenant-isolation ablation) configure them programmatically.
  */
 #ifndef PULSE_SERVE_SERVE_CONFIG_H
 #define PULSE_SERVE_SERVE_CONFIG_H
 
 #include <cstdint>
-#include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "common/units.h"
@@ -118,29 +118,6 @@ struct ServeConfig
             }
         }
         return TenantQos{tenant};
-    }
-
-    /**
-     * Parse the PULSE_SERVING environment variable:
-     *   "" / unset / "off" -> disabled (the default)
-     *   "on" / "1"         -> enabled with default contracts
-     * Unknown values are treated as off so existing runs stay
-     * untouched by typos. Benches that need specific contracts (the
-     * tenant-isolation ablation) configure them programmatically.
-     */
-    static ServeConfig
-    from_env()
-    {
-        ServeConfig config;
-        const char* env = std::getenv("PULSE_SERVING");
-        if (env == nullptr || *env == '\0') {
-            return config;
-        }
-        const std::string value(env);
-        if (value == "on" || value == "1") {
-            config.on = true;
-        }
-        return config;
     }
 };
 

@@ -4,11 +4,14 @@
  * simulated rack (offload engine -> NIC -> switch -> accelerator ->
  * response, and each baseline's path) must return correct results with
  * sane timing, including multi-node traversals continued in-network.
+ * Also covers apply_env, the one reader of the PULSE_* plane variables.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <tuple>
 
 #include "core/cluster.h"
 #include "ds/bptree.h"
@@ -430,6 +433,115 @@ TEST(ClusterStats, ResetThenRerunReproducesStatsExactly)
     EXPECT_EQ(first.latency.min(), second.latency.min());
     EXPECT_EQ(first.latency.max(), second.latency.max());
     EXPECT_EQ(spans1, cluster.tracer().recorded());
+}
+
+// ---------------------------------------------------------------------
+// apply_env: the PULSE_* plane variables
+// ---------------------------------------------------------------------
+
+const char* const kPlaneVariables[] = {"PULSE_CHECK", "PULSE_PLACEMENT",
+                                       "PULSE_REPLICATION",
+                                       "PULSE_SERVING"};
+
+void
+clear_plane_variables()
+{
+    for (const char* name : kPlaneVariables) {
+        unsetenv(name);
+    }
+}
+
+/** Every switch apply_env sets, for whole-config comparison. */
+auto
+plane_switches(const ClusterConfig& c)
+{
+    return std::make_tuple(c.check.oracle, c.check.invariants,
+                           c.check.fail_fast, c.placement.mode,
+                           c.replication.replication_factor, c.serve.on);
+}
+
+TEST(ClusterEnv, AcceptedSpellingsSelectTheirPlane)
+{
+    struct Case
+    {
+        const char* name;
+        const char* value;
+        void (*expect)(ClusterConfig&);  ///< applied to a default config
+    };
+    const auto none = [](ClusterConfig&) {};
+    const Case cases[] = {
+        {"PULSE_CHECK", "", none},
+        {"PULSE_CHECK", "off", none},
+        {"PULSE_CHECK", "all",
+         [](ClusterConfig& c) {
+             c.check.oracle = c.check.invariants = c.check.fail_fast = true;
+         }},
+        {"PULSE_CHECK", "oracle",
+         [](ClusterConfig& c) { c.check.oracle = true; }},
+        {"PULSE_CHECK", "invariants",
+         [](ClusterConfig& c) { c.check.invariants = true; }},
+        {"PULSE_CHECK", "fail-fast",
+         [](ClusterConfig& c) { c.check.fail_fast = true; }},
+        {"PULSE_CHECK", "invariants,fail-fast",
+         [](ClusterConfig& c) {
+             c.check.invariants = c.check.fail_fast = true;
+         }},
+        {"PULSE_PLACEMENT", "", none},
+        {"PULSE_PLACEMENT", "off", none},
+        {"PULSE_PLACEMENT", "static",
+         [](ClusterConfig& c) {
+             c.placement.mode = placement::PlacementMode::kStatic;
+         }},
+        {"PULSE_PLACEMENT", "elastic",
+         [](ClusterConfig& c) {
+             c.placement.mode = placement::PlacementMode::kElastic;
+         }},
+        {"PULSE_REPLICATION", "", none},
+        {"PULSE_REPLICATION", "off", none},
+        {"PULSE_REPLICATION", "k2",
+         [](ClusterConfig& c) { c.replication.replication_factor = 2; }},
+        {"PULSE_REPLICATION", "k3",
+         [](ClusterConfig& c) { c.replication.replication_factor = 3; }},
+        {"PULSE_SERVING", "", none},
+        {"PULSE_SERVING", "off", none},
+        {"PULSE_SERVING", "on", [](ClusterConfig& c) { c.serve.on = true; }},
+    };
+
+    clear_plane_variables();
+    ClusterConfig unset;
+    apply_env(unset);
+    EXPECT_EQ(plane_switches(unset), plane_switches(ClusterConfig{}));
+
+    for (const Case& c : cases) {
+        SCOPED_TRACE(std::string(c.name) + "=" + c.value);
+        clear_plane_variables();
+        setenv(c.name, c.value, 1);
+        ClusterConfig read;
+        apply_env(read);
+        ClusterConfig expected;
+        c.expect(expected);
+        EXPECT_EQ(plane_switches(read), plane_switches(expected));
+    }
+    clear_plane_variables();
+}
+
+TEST(ClusterEnvDeathTest, TypoFailsNamingTheVariable)
+{
+    const std::pair<const char*, const char*> typos[] = {
+        {"PULSE_CHECK", "invariant"},
+        {"PULSE_REPLICATION", "K2"},
+        {"PULSE_PLACEMENT", "elastc"},
+        {"PULSE_SERVING", "yes"},
+    };
+    for (const auto& [name, value] : typos) {
+        clear_plane_variables();
+        setenv(name, value, 1);
+        ClusterConfig config;
+        EXPECT_DEATH(apply_env(config),
+                     std::string(name) + "=" + value + ": unknown value")
+            << name;
+    }
+    clear_plane_variables();
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 /**
  * @file
- * Replays the committed fuzz corpus (tests/fuzz_corpus/*.json) through
- * the checked simulator. Every file is a FuzzCase reproducer — cases
- * the generator covers by construction (all six data structures
- * crossed with fault profiles, plus program-differential seeds) and
+ * Replays the committed fuzz corpus (the JSON files in
+ * tests/fuzz_corpus) through the checked simulator. Every file is a
+ * FuzzCase reproducer — cases the generator covers by construction
+ * (all six data structures crossed with fault profiles, plus
+ * program-differential seeds) and
  * any minimized reproducer a past failure left behind. A case that
  * fails here is a regression with its reproducer already in hand.
  *

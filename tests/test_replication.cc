@@ -1,9 +1,8 @@
 /**
  * @file
  * Fault-tolerance plane tests: heartbeat detector semantics (stall vs
- * blackout), PULSE_REPLICATION parsing and off-gating, replica
- * establishment + failover serving reads from the survivor, and the
- * chaos CAS soak — a node blackout injected at every phase of the
+ * blackout), off-gating, replica establishment + failover serving
+ * reads from the survivor, and the chaos CAS soak — a node blackout injected at every phase of the
  * replication protocol (before the first scan, mid-copy, after
  * establishment, deep into mirrored CAS traffic) while a closed loop
  * of CAS increments runs with driver retry on. Every operation must
@@ -12,7 +11,6 @@
  */
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 
@@ -25,34 +23,8 @@ namespace pulse::replication {
 namespace {
 
 // ---------------------------------------------------------------------
-// Config parsing / gating
+// Gating
 // ---------------------------------------------------------------------
-
-TEST(ReplicationConfig, FromEnv)
-{
-    unsetenv("PULSE_REPLICATION");
-    EXPECT_EQ(ReplicationConfig::from_env().replication_factor, 1u);
-    EXPECT_FALSE(ReplicationConfig::from_env().enabled());
-
-    setenv("PULSE_REPLICATION", "", 1);
-    EXPECT_EQ(ReplicationConfig::from_env().replication_factor, 1u);
-
-    setenv("PULSE_REPLICATION", "off", 1);
-    EXPECT_EQ(ReplicationConfig::from_env().replication_factor, 1u);
-
-    setenv("PULSE_REPLICATION", "k2", 1);
-    EXPECT_EQ(ReplicationConfig::from_env().replication_factor, 2u);
-    EXPECT_TRUE(ReplicationConfig::from_env().enabled());
-
-    setenv("PULSE_REPLICATION", "k3", 1);
-    EXPECT_EQ(ReplicationConfig::from_env().replication_factor, 3u);
-
-    // Typos stay off, so existing runs cannot be perturbed by one.
-    setenv("PULSE_REPLICATION", "k4oops", 1);
-    EXPECT_EQ(ReplicationConfig::from_env().replication_factor, 1u);
-
-    unsetenv("PULSE_REPLICATION");
-}
 
 TEST(ReplicationPlane, OffModeBuildsNoPlane)
 {

@@ -28,14 +28,12 @@
 #include <string>
 #include <vector>
 
-#include "common/random.h"
 #include "core/cluster.h"
-#include "ds/hash_table.h"
+#include "fig9_cell.h"
 #include "replication/replication_plane.h"
 #include "trace/metrics_exporter.h"
 #include "trace/trace.h"
 #include "workloads/driver.h"
-#include "workloads/workloads.h"
 
 namespace {
 
@@ -94,37 +92,16 @@ main(int argc, char** argv)
         }
     }
 
-    // The exact fig9_breakdown workload, with tracing switched on.
-    // PULSE_REPLICATION and PULSE_SERVING are honoured like everywhere
-    // else so the health sections below reflect opted-in planes.
+    // The exact fig9_breakdown cell, with tracing switched on. The
+    // plane variables are honoured like everywhere else, so the health
+    // sections below reflect opted-in planes.
     core::ClusterConfig config;
+    core::apply_env(config);
     config.trace.enabled = true;
-    config.replication = replication::ReplicationConfig::from_env();
-    config.serve = serve::ServeConfig::from_env();
     core::Cluster cluster(config);
-    ds::HashTableConfig ht;
-    ht.num_buckets = 512;
-    ds::HashTable table(cluster.memory(), cluster.allocator(), ht);
-    std::vector<std::uint64_t> keys;
-    for (std::uint64_t i = 0; i < 50'000; i++) {
-        keys.push_back(workloads::key_of(i));
-    }
-    table.insert_many(keys);
-
-    Rng rng(17);
-    workloads::DriverConfig driver;
-    driver.warmup_ops = 20;
-    driver.measure_ops = 400;
-    driver.concurrency = 1;
-    driver.on_measure_start = [&cluster] { cluster.reset_stats(); };
-
-    const workloads::DriverResult result = run_closed_loop(
-        cluster.queue(), cluster.submitter(core::SystemKind::kPulse),
-        [&](std::uint64_t) {
-            return table.make_find(keys[rng.next_below(keys.size())],
-                                   nullptr);
-        },
-        driver);
+    workloads::DriverResult result;
+    const bench::Fig9Breakdown counters =
+        bench::run_fig9_cell(cluster, &result);
 
     // Trace-derived decomposition.
     const std::vector<trace::SpanEvent> events =
@@ -132,23 +109,13 @@ main(int argc, char** argv)
     const trace::Breakdown breakdown =
         trace::aggregate_breakdown(events);
 
-    // Counter-derived decomposition (fig9_breakdown's accounting).
-    const auto& stats = cluster.accelerator(0).stats();
-    const double requests =
-        static_cast<double>(stats.requests_received.value());
-    const double iters = static_cast<double>(stats.iterations.value());
-    const double loads = static_cast<double>(stats.loads.value());
-
     const Row rows[] = {
-        {"net stack/pkt",
-         stats.net_stack_time.sum() / (2.0 * requests) / 1e3,
+        {"net stack/pkt", counters.net_stack_ns,
          breakdown.net_stack_ns_per_pkt()},
-        {"scheduler", stats.scheduler_time.sum() / requests / 1e3,
-         breakdown.scheduler_ns()},
-        {"mem pipe/load",
-         stats.mem_pipeline_time.sum() / loads / 1e3,
+        {"scheduler", counters.scheduler_ns, breakdown.scheduler_ns()},
+        {"mem pipe/load", counters.mem_per_iter_ns,
          breakdown.mem_pipeline_ns_per_load()},
-        {"logic/iter", stats.logic_pipeline_time.sum() / iters / 1e3,
+        {"logic/iter", counters.logic_per_iter_ns,
          breakdown.logic_ns_per_iter()},
     };
 
@@ -166,7 +133,7 @@ main(int argc, char** argv)
         }
     }
     std::printf("iters/req %.1f; spans recorded %llu, dropped %llu\n",
-                iters / requests,
+                counters.iters,
                 static_cast<unsigned long long>(
                     cluster.tracer().recorded()),
                 static_cast<unsigned long long>(
